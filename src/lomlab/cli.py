@@ -11,22 +11,20 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import galerad
 from . import verifier
-from .chessboard import board_of
+from .chessboard import THEOREM_IDS, board_of
 from .sign_matrix import MatrixFormatError, SignMatrix, reorient
 from .travels import bottom_travel, interior_elements, is_acyclic, top_travel
 
 USAGE_ERROR = 2
 DATA_ERROR = 3
 
-THEOREMS = ("dim2", "dim3", "general", "t1", "even-d")
-VERIFY_IDS = THEOREMS + ("counterexamples", "rank3-scan")
+VERIFY_IDS = THEOREM_IDS + ("counterexamples", "rank3-scan")
 
 
 def _parse_range(text: str) -> list[int]:
@@ -59,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--t", type=_range_arg, default=None, help="t range, e.g. 0..4")
     p_verify.add_argument("--r", type=_range_arg, default=None, help="r range, e.g. 5..6")
     p_verify.add_argument("--n", type=_range_arg, default=None, help="n range (rank3-scan)")
-    p_verify.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p_verify.add_argument("--workers", type=int, default=verifier.available_cpus())
     p_verify.add_argument("--out", type=Path, default=Path("reports"))
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--symmetry-prune", action="store_true")
@@ -115,7 +113,7 @@ def _append_report(out_dir: Path, name: str, text: str) -> Path:
 def _emit_fixtures(args, report: verifier.VerificationReport, out_dir: Path) -> None:
     from .chessboard import canonical_matrix, corners_for
 
-    if args.theorem not in THEOREMS:
+    if args.theorem not in THEOREM_IDS:
         return
     for witness in report.witnesses:
         # a failed instance always dumps its fixtures: the report plus these
@@ -139,7 +137,7 @@ def _cmd_verify(args) -> int:
     reports: list[verifier.VerificationReport] = []
     hash_parts = ["verify", args.theorem, str(args.t), str(args.r), str(args.n), str(args.seed)]
     try:
-        if args.theorem in THEOREMS:
+        if args.theorem in THEOREM_IDS:
             reports.append(
                 verifier.verify_lower(args.theorem, args.t, args.r, workers=args.workers)
             )

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .exactlp import separating_functional
 
@@ -265,15 +265,6 @@ def affine_projection(config: PointConfig, coloring: Coloring) -> tuple[Vector, 
         sign = 1 if coloring.color(i) == RED else -1
         rays.append(tuple(Fraction(sign) * c for c in p) + (Fraction(sign),))
     return tuple(rays)
-
-
-def unit_rays_float(rays: Sequence[Vector]) -> list[tuple[float, ...]]:
-    """Float normalizations of exact rays, for display only."""
-    out = []
-    for ray in rays:
-        norm = sum(float(c) ** 2 for c in ray) ** 0.5
-        out.append(tuple(float(c) / norm for c in ray))
-    return out
 
 
 def _minimal_partition(config: PointConfig, subset: tuple[int, ...]) -> tuple[frozenset[int], frozenset[int]]:

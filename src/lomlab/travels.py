@@ -37,6 +37,13 @@ one-segment shape indexes the remaining class, the one containing the
 matrix itself whenever it is acyclic.  ``min_interior`` scans the plain
 travels plus that degenerate shape, so its minimum ranges over every acyclic
 reorientation class.
+
+Every class scan goes through ``scan_classes``, a depth-first search over
+the drop columns on int-bitmask rows.  Each class's top travel is its
+prescribed plain travel, so only the bottom travel is walked, one
+``int.bit_length`` step per segment, and criterion (c) becomes one AND per
+row of the two travels' masks of columns strictly inside a segment.  No
+table is kept per (r, n): all scan state lives on the search stack.
 """
 
 from __future__ import annotations
@@ -118,20 +125,6 @@ class Travel:
         """Drop columns followed by the end column."""
         return self.drop_columns + (self.end_col,)
 
-    def contains(self, i: int, j: int) -> bool:
-        return any(row == i and min(a, b) <= j <= max(a, b) for row, a, b in self.segments)
-
-    def spanning_row(self, lo: int, hi: int) -> int | None:
-        """Row whose segment covers all columns lo..hi, or None.
-
-        At most one segment can cover a range of two or more columns because
-        consecutive segments overlap in a single column.
-        """
-        for row, a, b in self.segments:
-            if min(a, b) <= lo and hi <= max(a, b):
-                return row
-        return None
-
     def crossing_row(self, j: int) -> int | None:
         """Row in which the walk moves between columns j and j+1, if it does."""
         for row, a, b in self.segments:
@@ -157,13 +150,9 @@ class Travel:
         except ValueError as exc:
             raise TravelFormatError(str(exc)) from exc
 
-    def sort_key(self) -> tuple[int, ...]:
-        return self.breakpoints
-
 
 # ---------------------------------------------------------------------------
-# Walk construction on raw rows.  These helpers are the hot path of the
-# verifier scans, so they work on plain tuples instead of SignMatrix values.
+# Walk construction on raw rows, for the single travels a caller asks for.
 
 
 def _top_segments(rows: Rows) -> tuple[tuple[int, int, int], ...]:
@@ -216,56 +205,112 @@ def _is_acyclic(rows: Rows) -> bool:
     return not (end_row == len(rows) and end_col < len(rows[0]))
 
 
-def _interior(rows: Rows, tsegs, bsegs) -> frozenset[int]:
-    r = len(rows)
-    n = len(rows[0])
-    out = []
-    brow, ba, bb = bsegs[-1]
-    if brow == 1 and bb == 1 and max(ba, bb) >= 2:
-        out.append(1)
-    trow, ta, tb = tsegs[-1]
-    if trow == r and tb == n and min(ta, tb) <= n - 1:
-        out.append(n)
-
-    def span(segs, lo, hi):
-        for row, a, b in segs:
-            if min(a, b) <= lo and hi <= max(a, b):
-                return row
-        return None
-
-    for k in range(2, n):
-        i = span(tsegs, k - 1, k + 1)
-        if i is None:
-            continue
-        ib = span(bsegs, k - 1, k + 1)
-        if ib is not None and (ib == i or ib == i + 1):
-            out.append(k)
-    return frozenset(out)
+# ---------------------------------------------------------------------------
+# The class-scan kernel.  Rows are int bitmasks, bit j set when the entry in
+# column j + 1 is -1, so reorienting a column set is one xor per row.  A
+# travel segment running from 0-based column a to column b is summarized by
+# the mask of the columns strictly inside it: the columns k whose neighbours
+# k - 1 and k + 1 the segment covers too.
 
 
-def _sweep_flips(rows: Rows, drops: Sequence[int]) -> frozenset[int]:
-    """Columns (1-indexed) to flip so the top travel drops exactly at `drops`.
+def _row_masks(rows: Rows) -> list[int]:
+    return [sum(1 << j for j, v in enumerate(row) if v < 0) for row in rows]
 
-    Single left-to-right pass: the walk is simulated and each column whose
-    entry would make it deviate from the prescribed staircase is flipped.
-    Column 1 is never flipped, which makes the answer canonical.
+
+def _columns(mask: int) -> frozenset[int]:
+    """1-indexed columns of a column bitmask."""
+    return frozenset(j + 1 for j in range(mask.bit_length()) if (mask >> j) & 1)
+
+
+def _inside(a: int, b: int) -> int:
+    """Mask of the columns strictly between 0-based columns a <= b."""
+    return ((1 << b) - 1) & (-2 << a)
+
+
+def _drop_step(row: int, below: int, a: int, b: int, pivot: int) -> tuple[int, int, int]:
+    """One top-travel segment along `row`, from column a to a drop at b.
+
+    `pivot` is the entry bit the walk carries into column a.  Returns the
+    columns to flip so the walk stays level up to b and drops at b, the
+    entry bit it carries into the row below, and the segment's inside mask.
     """
-    n = len(rows[0])
-    drop_set = frozenset(drops)
-    flipped = set()
-    i = 0
-    pivot = rows[0][0]
-    for c in range(2, n + 1):
-        value = rows[i][c - 1]
-        if c in drop_set:
-            # the effective entry must flip the pivot to force a drop here
-            if value == pivot:
-                flipped.add(c)
-            i += 1
-            pivot = rows[i][c - 1] * (-1 if c in flipped else 1)
-        elif value != pivot:
-            flipped.add(c)
-    return frozenset(flipped)
+    inside = _inside(a, b)
+    drop = ((row >> b) ^ pivot ^ 1) & 1
+    flips = ((row ^ -pivot) & inside) | drop << b
+    return flips, ((below >> b) & 1) ^ drop, inside
+
+
+def _interior_mask(masks: list[int], flips: int, tops: Sequence[int], n: int) -> int:
+    """Column 1 and the middle interior columns of an acyclic matrix.
+
+    The matrix is `masks` reoriented by `flips`; tops[i + 1] is the inside
+    mask of its top travel in row i (0 for rows the top travel misses, and
+    tops[0] == 0).  The bottom travel is walked here, one step per segment:
+    the nearest column left of j whose entry differs from column j's is the
+    highest set bit of a masked xor.  Column n is left to the caller, since
+    the top travel alone decides it.
+    """
+    i, j, out = len(masks) - 1, n - 1, 0
+    while True:
+        row = masks[i] ^ flips
+        off = (row ^ -((row >> j) & 1)) & ((1 << j) - 1)
+        rise = off.bit_length() - 1 if off else 0
+        # parallel at k: bottom row i against top row i or top row i - 1;
+        # the bottom segment's inside mask is _inside(rise, j), inlined
+        out |= ((1 << j) - 1) & (-2 << rise) & (tops[i] | tops[i + 1])
+        if not off:
+            return out | (i == 0 and j > 0)
+        i, j = i - 1, rise
+
+
+def scan_classes(
+    matrix: SignMatrix, include_trivial: bool = True
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Stream (drops, flips, interior) over the acyclic reorientation classes.
+
+    Classes come in ``_drop_sets`` order, so the first class with a given
+    interior count is the lexicographically least witness.  `drops` are
+    the 1-indexed drop columns of the class's plain travel; `flips` and
+    `interior` are column bitmasks (bit j for column j + 1), the canonical
+    reorientation and the interior set of the reoriented matrix.
+
+    The scan is a depth-first search over drop prefixes: each drop extends
+    the parent's flips by one travel segment, so classes sharing a prefix
+    share its work.  The top travel of each class is the prescribed plain
+    travel, so it is never walked; only the bottom travel is.
+    """
+    rows = matrix.rows
+    r, n = len(rows), len(rows[0])
+    masks = _row_masks(rows)
+    max_drops = min(r - 1, n - 1)
+    pad = (0,) * r
+
+    def close(drops, k, a, pivot, flips, tops):
+        # the last segment runs along row k from column a to column n
+        inside = _inside(a, n)
+        flips |= (masks[k] ^ -pivot) & inside
+        interior = _interior_mask(masks, flips, tops + (inside,) + pad, n)
+        if k == r - 1 and a < n - 1:
+            interior |= 1 << (n - 1)
+        return drops, flips, interior
+
+    # A node is a drop prefix: the top travel is fixed up to column a of row
+    # k = len(drops), entering it with entry bit `pivot`; `flips` covers the
+    # columns up to a, and `tops` is 0 then the inside masks of rows 0 .. k-1.
+    def visit(drops, k, a, pivot, flips, tops):
+        if k < max_drops:
+            for b in range(a + 1, n - 1):
+                step, below, inside = _drop_step(masks[k], masks[k + 1], a, b, pivot)
+                yield from visit(
+                    drops + (b + 1,), k + 1, b, below, flips | step, tops + (inside,)
+                )
+        if drops or include_trivial:
+            yield close(drops, k, a, pivot, flips, tops)
+        if k < max_drops:
+            step, below, inside = _drop_step(masks[k], masks[k + 1], a, n - 1, pivot)
+            yield close(drops + (n,), k + 1, n - 1, below, flips | step, tops + (inside,))
+
+    return visit((), 0, 0, masks[0] & 1, 0, (0,))
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +339,17 @@ def interior_elements(matrix: SignMatrix) -> frozenset[int]:
     only for acyclic matrices.
     """
     rows = matrix.rows
-    if not _is_acyclic(rows):
+    segments = _top_segments(rows)
+    row, a, b = segments[-1]
+    if row == matrix.r and b < matrix.n:
         raise CyclicMatroidError("interior elements are defined only for acyclic matrices")
-    return _interior(rows, _top_segments(rows), _bottom_segments(rows))
+    tops = [0] * (matrix.r + 1)
+    for i, lo, hi in segments:
+        tops[i] = _inside(lo - 1, hi - 1)
+    interior = _interior_mask(_row_masks(rows), 0, tops, matrix.n)
+    if row == matrix.r and a < matrix.n:
+        interior |= 1 << (matrix.n - 1)
+    return _columns(interior)
 
 
 def plain_travel(r: int, n: int, drops: Sequence[int]) -> Travel:
@@ -382,11 +435,18 @@ def _travel_drops(matrix: SignMatrix, travel: Travel) -> tuple[int, ...]:
 def reorientation_for_pt(matrix: SignMatrix, travel: Travel) -> frozenset[int]:
     """Canonical column set turning the matrix's top travel into `travel`.
 
-    The set is computed by a single left-to-right sweep and never contains
-    column 1; it is the unique such set, so the map from plain travels to
-    acyclic reorientation classes is a bijection (checked in the tests).
+    The set is computed by a single left-to-right sweep, one segment at a
+    time, and never contains column 1; it is the unique such set, so the map
+    from plain travels to acyclic reorientation classes is a bijection
+    (checked in the tests).
     """
-    return _sweep_flips(matrix.rows, _travel_drops(matrix, travel))
+    masks = _row_masks(matrix.rows)
+    k, a, pivot, flips = 0, 0, masks[0] & 1, 0
+    for drop in _travel_drops(matrix, travel):
+        step, pivot, _ = _drop_step(masks[k], masks[k + 1], a, drop - 1, pivot)
+        k, a, flips = k + 1, drop - 1, flips | step
+    flips |= (masks[k] ^ -pivot) & _inside(a, matrix.n)
+    return _columns(flips)
 
 
 def min_interior(matrix: SignMatrix, include_trivial: bool = True) -> tuple[int, Travel]:
@@ -396,26 +456,19 @@ def min_interior(matrix: SignMatrix, include_trivial: bool = True) -> tuple[int,
     which indexes the remaining acyclic class) is realized as a top travel
     via its canonical reorientation and the interior elements are counted.
     Returns the minimum and the lexicographically smallest witness shape.
+    A rank-1 matrix has no plain travels, so scanning it without the
+    one-segment shape raises ValueError.
     """
-    rows = matrix.rows
     best: tuple[int, tuple[int, ...]] | None = None
-    for drops in _drop_sets(matrix.r, matrix.n, include_trivial):
-        flips = _sweep_flips(rows, drops)
-        flipped = _reoriented_rows(rows, flips)
-        tsegs = _top_segments(flipped)
-        count = len(_interior(flipped, tsegs, _bottom_segments(flipped)))
+    for drops, _, interior in scan_classes(matrix, include_trivial):
+        count = interior.bit_count()
         if best is None or count < best[0]:
             best = (count, drops)
             if count == 0:
                 break
-    assert best is not None
+    if best is None:
+        raise ValueError(
+            f"a rank-{matrix.r} matrix has no plain travels; "
+            "scan it with include_trivial=True"
+        )
     return best[0], plain_travel(matrix.r, matrix.n, best[1])
-
-
-def _reoriented_rows(rows: Rows, cols: frozenset[int]) -> Rows:
-    if not cols:
-        return rows
-    zero_based = {c - 1 for c in cols}
-    return tuple(
-        tuple(-v if j in zero_based else v for j, v in enumerate(row)) for row in rows
-    )

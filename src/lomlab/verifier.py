@@ -9,6 +9,7 @@ it can be replayed.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -16,13 +17,15 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .chessboard import Chessboard, board_from_sequence, canonical_matrix, corners_for
-from .sign_matrix import reorient
+from .sign_matrix import SignMatrix, reorient
 from .travels import (
     Travel,
-    enumerate_plain_travels,
+    enumerate_plain_travels,  # noqa: F401  (perfbench/spans.py wraps it here)
     interior_elements,
     min_interior,
+    plain_travel,
     reorientation_for_pt,
+    scan_classes,
 )
 
 PASS = "pass"
@@ -99,6 +102,21 @@ def _fmt_opt(value: int | None) -> str:
     return "-" if value is None else str(value)
 
 
+def _witness(
+    params: tuple[tuple[str, int], ...],
+    matrix: SignMatrix,
+    travel: Travel,
+    observed: int,
+    required: int,
+    ok: bool,
+) -> Witness:
+    """Witness for the class of `travel`: its flips and interior set are
+    recomputed through the public travel operations, so they replay."""
+    flips = tuple(sorted(reorientation_for_pt(matrix, travel)))
+    interior = tuple(sorted(interior_elements(reorient(matrix, flips))))
+    return Witness(params, travel, flips, interior, observed, required, ok)
+
+
 # ---------------------------------------------------------------------------
 # Lower-bound theorem runs.
 
@@ -133,18 +151,8 @@ def _check_lower_instance(instance: tuple[str, int, int]) -> Witness:
     board = corners_for(theorem_id, r, t)
     matrix = canonical_matrix(board)
     observed, travel = min_interior(matrix)
-    flips = tuple(sorted(reorientation_for_pt(matrix, travel)))
-    interior = tuple(sorted(interior_elements(reorient(matrix, flips))))
-    required = t + 1
-    return Witness(
-        params=(("r", r), ("t", t), ("n", matrix.n)),
-        travel=travel,
-        flips=flips,
-        interior=interior,
-        observed=observed,
-        required=required,
-        ok=observed >= required,
-    )
+    params = (("r", r), ("t", t), ("n", matrix.n))
+    return _witness(params, matrix, travel, observed, t + 1, observed >= t + 1)
 
 
 def verify_lower(
@@ -190,8 +198,22 @@ def _box_params(t_values, r_values) -> dict[str, str]:
     return params
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on, which can be fewer than the machine has."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _pool_size(requested: int, tasks: int) -> int:
+    """Worker processes to start: never more than the tasks or the CPUs."""
+    return max(1, min(requested, tasks, available_cpus()))
+
+
 def _map_instances(fn, items, workers: int):
-    if workers <= 1 or len(items) <= 1:
+    workers = _pool_size(workers, len(items))
+    if workers == 1:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
@@ -220,25 +242,20 @@ def reproduce_counterexample(which: str) -> VerificationReport:
     start = time.perf_counter()
     r, n, sequence, target = COUNTEREXAMPLES[which]
     matrix = canonical_matrix(board_from_sequence(r, n, sequence))
-    target_set = frozenset(target)
-    found: Witness | None = None
+    target_mask = sum(1 << (c - 1) for c in target)
+    found: tuple[int, ...] | None = None
     best = n + 1
     scanned = 0
-    for travel in enumerate_plain_travels(r, n, include_trivial=True):
+    for drops, _, interior in scan_classes(matrix, include_trivial=True):
         scanned += 1
-        flips = reorientation_for_pt(matrix, travel)
-        interior = interior_elements(reorient(matrix, flips))
-        best = min(best, len(interior))
-        if found is None and interior == target_set:
-            found = Witness(
-                params=(("r", r), ("n", n)),
-                travel=travel,
-                flips=tuple(sorted(flips)),
-                interior=tuple(sorted(interior)),
-                observed=len(interior),
-                required=len(target),
-                ok=True,
-            )
+        best = min(best, interior.bit_count())
+        if found is None and interior == target_mask:
+            found = drops
+    witnesses = ()
+    if found is not None:
+        travel = plain_travel(r, n, found)
+        params = (("r", r), ("n", n))
+        witnesses = (_witness(params, matrix, travel, len(target), len(target), True),)
     return VerificationReport(
         theorem_id=f"counterexample-{which}",
         parameters={
@@ -248,8 +265,8 @@ def reproduce_counterexample(which: str) -> VerificationReport:
         instances_checked=scanned,
         min_interior_observed=best,
         required_bound=len(target),
-        witnesses=(found,) if found else (),
-        verdict=PASS if found else FAIL,
+        witnesses=witnesses,
+        verdict=PASS if witnesses else FAIL,
         wall_time=time.perf_counter() - start,
     )
 
@@ -346,22 +363,10 @@ def exhaustive_rank3_scan(
 
     witnesses = []
     for code in ([worst_code] if worst_code >= 0 else []) + violations[:8]:
-        board = _board_from_code(n, code)
-        matrix = canonical_matrix(board)
+        matrix = canonical_matrix(_board_from_code(n, code))
         observed, travel = min_interior(matrix)
-        flips = tuple(sorted(reorientation_for_pt(matrix, travel)))
-        interior = tuple(sorted(interior_elements(reorient(matrix, flips))))
-        witnesses.append(
-            Witness(
-                params=(("n", n), ("board", code)),
-                travel=travel,
-                flips=flips,
-                interior=interior,
-                observed=observed,
-                required=bound,
-                ok=observed <= bound,
-            )
-        )
+        params = (("n", n), ("board", code))
+        witnesses.append(_witness(params, matrix, travel, observed, bound, observed <= bound))
 
     verdict = PASS if not violations and attain > 0 else FAIL
     return VerificationReport(

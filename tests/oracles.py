@@ -3,6 +3,8 @@
 Everything here recomputes quantities from first principles (circuit signs
 of a chirotope, exhaustive staircase collection, Gale evenness, exact hull
 feasibility) without touching the travel or counting machinery under test.
+The reference class scan is the slow tuple-based loop that the travel
+kernel is checked against.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from itertools import combinations
 from lomlab.exactlp import hulls_intersect, zero_in_convex_hull
 from lomlab.galerad import PointConfig, _det
 from lomlab.sign_matrix import SignMatrix
-from lomlab.travels import _top_segments
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +145,142 @@ def collect_top_travel_shapes(r: int, n: int):
         else:
             cut_short.add(segments)
     return ending_at_n, cut_short
+
+
+# ---------------------------------------------------------------------------
+# Reference class scan: every class is reoriented as a tuple matrix and both
+# travels are walked from scratch, one column at a time.  This is the loop
+# the bitmask kernel in lomlab.travels replaced; the tests compare the two.
+
+Rows = tuple[tuple[int, ...], ...]
+
+
+def _top_segments(rows: Rows) -> tuple[tuple[int, int, int], ...]:
+    r = len(rows)
+    n = len(rows[0])
+    i, j = 0, 0
+    segments = []
+    while True:
+        row = rows[i]
+        pivot = row[j]
+        start = j
+        while j + 1 < n and row[j + 1] == pivot:
+            j += 1
+        if j == n - 1:
+            segments.append((i + 1, start + 1, n))
+            return tuple(segments)
+        if i == r - 1:
+            segments.append((i + 1, start + 1, j + 1))
+            return tuple(segments)
+        segments.append((i + 1, start + 1, j + 2))
+        i += 1
+        j += 1
+
+
+def _bottom_segments(rows: Rows) -> tuple[tuple[int, int, int], ...]:
+    r = len(rows)
+    n = len(rows[0])
+    i, j = r - 1, n - 1
+    segments = []
+    while True:
+        row = rows[i]
+        pivot = row[j]
+        start = j
+        while j - 1 >= 0 and row[j - 1] == pivot:
+            j -= 1
+        if j == 0:
+            segments.append((i + 1, start + 1, 1))
+            return tuple(segments)
+        if i == 0:
+            segments.append((i + 1, start + 1, j + 1))
+            return tuple(segments)
+        segments.append((i + 1, start + 1, j))
+        i -= 1
+        j -= 1
+
+
+def _interior(rows: Rows, tsegs, bsegs) -> frozenset[int]:
+    r = len(rows)
+    n = len(rows[0])
+    out = []
+    brow, ba, bb = bsegs[-1]
+    if brow == 1 and bb == 1 and max(ba, bb) >= 2:
+        out.append(1)
+    trow, ta, tb = tsegs[-1]
+    if trow == r and tb == n and min(ta, tb) <= n - 1:
+        out.append(n)
+
+    def span(segs, lo, hi):
+        for row, a, b in segs:
+            if min(a, b) <= lo and hi <= max(a, b):
+                return row
+        return None
+
+    for k in range(2, n):
+        i = span(tsegs, k - 1, k + 1)
+        if i is None:
+            continue
+        ib = span(bsegs, k - 1, k + 1)
+        if ib is not None and (ib == i or ib == i + 1):
+            out.append(k)
+    return frozenset(out)
+
+
+def _sweep_flips(rows: Rows, drops) -> frozenset[int]:
+    """Columns to flip so the top travel drops exactly at `drops`, by one
+    left-to-right pass that never flips column 1."""
+    n = len(rows[0])
+    drop_set = frozenset(drops)
+    flipped = set()
+    i = 0
+    pivot = rows[0][0]
+    for c in range(2, n + 1):
+        value = rows[i][c - 1]
+        if c in drop_set:
+            if value == pivot:
+                flipped.add(c)
+            i += 1
+            pivot = rows[i][c - 1] * (-1 if c in flipped else 1)
+        elif value != pivot:
+            flipped.add(c)
+    return frozenset(flipped)
+
+
+def _reoriented_rows(rows: Rows, cols: frozenset[int]) -> Rows:
+    if not cols:
+        return rows
+    zero_based = {c - 1 for c in cols}
+    return tuple(
+        tuple(-v if j in zero_based else v for j, v in enumerate(row)) for row in rows
+    )
+
+
+def reference_drop_sets(r: int, n: int, include_trivial: bool):
+    """Drop tuples of every plain travel (and optionally the empty one), in
+    lexicographic order of their breakpoints, by sorting all subsets."""
+    sizes = range(0 if include_trivial else 1, min(r - 1, n - 1) + 1)
+    subsets = [d for k in sizes for d in combinations(range(2, n + 1), k)]
+    return sorted(subsets, key=lambda d: d + (n,))
+
+
+def reference_scan(matrix: SignMatrix, include_trivial: bool):
+    """(drops, flips, interior) per acyclic reorientation class."""
+    rows = matrix.rows
+    for drops in reference_drop_sets(matrix.r, matrix.n, include_trivial):
+        flips = _sweep_flips(rows, drops)
+        flipped = _reoriented_rows(rows, flips)
+        yield drops, flips, _interior(flipped, _top_segments(flipped), _bottom_segments(flipped))
+
+
+def reference_min_interior(matrix: SignMatrix, include_trivial: bool = True):
+    """(minimum interior count, drops of the first class attaining it)."""
+    best = None
+    for drops, _, interior in reference_scan(matrix, include_trivial):
+        if best is None or len(interior) < best[0]:
+            best = (len(interior), drops)
+            if best[0] == 0:
+                break
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,17 @@ def test_verify_counterexamples(tmp_path, capsys):
     assert stdout.count(": pass") == 3
 
 
+def test_verify_default_workers_is_the_affinity_count(monkeypatch):
+    import os
+
+    from lomlab import cli
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    args = cli._build_parser().parse_args(["verify", "dim2", "--t", "0"])
+    assert args.workers == 1
+
+
 def test_verify_bad_range_is_usage_error(tmp_path, capsys):
     code, _, stderr = run(
         ["verify", "dim2", "--t=-1..0", "--out", str(tmp_path / "r")], capsys

@@ -18,6 +18,7 @@ from lomlab.travels import (
     min_interior,
     plain_travel,
     reorientation_for_pt,
+    scan_classes,
     top_travel,
     trivial_travel,
 )
@@ -28,6 +29,8 @@ from oracles import (
     matrix_interior,
     matrix_is_acyclic,
     random_sign_matrix,
+    reference_min_interior,
+    reference_scan,
 )
 
 
@@ -293,6 +296,53 @@ def test_min_interior_is_order_independent():
     )
     assert best[0] == count
     assert best[1] == witness.breakpoints
+
+
+def test_min_interior_rank1_without_trivial_class_is_refused():
+    with pytest.raises(ValueError, match="include_trivial=True"):
+        min_interior(SignMatrix.constant(1, 4), include_trivial=False)
+    count, witness = min_interior(SignMatrix.constant(1, 4))
+    assert (count, witness.segments) == (4, ((1, 1, 4),))
+
+
+def _columns(mask):
+    return frozenset(j + 1 for j in range(mask.bit_length()) if (mask >> j) & 1)
+
+
+def _kernel_scan(matrix, include_trivial):
+    return [
+        (drops, _columns(flips), _columns(interior))
+        for drops, flips, interior in scan_classes(matrix, include_trivial)
+    ]
+
+
+@st.composite
+def sign_matrices(draw, ranks=(2, 7), max_n=12):
+    r = draw(st.integers(*ranks))
+    n = draw(st.integers(r, max_n))
+    bits = draw(st.integers(0, (1 << (r * n)) - 1))
+    return SignMatrix(
+        tuple(tuple(-1 if (bits >> (i * n + j)) & 1 else 1 for j in range(n)) for i in range(r))
+    )
+
+
+@given(sign_matrices(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_scan_kernel_matches_reference_loop(matrix, include_trivial):
+    # every class: drops in the same order, the same flips, the same interior
+    assert _kernel_scan(matrix, include_trivial) == list(reference_scan(matrix, include_trivial))
+    count, witness = min_interior(matrix, include_trivial)
+    assert (count, witness.drop_columns) == reference_min_interior(matrix, include_trivial)
+    assert witness.segments == plain_travel(matrix.r, matrix.n, witness.drop_columns).segments
+
+
+def test_scan_kernel_matches_reference_on_every_rank3_n7_board():
+    from lomlab.chessboard import canonical_matrix
+    from lomlab.verifier import _board_from_code
+
+    for code in range(1 << 12):
+        matrix = canonical_matrix(_board_from_code(7, code))
+        assert _kernel_scan(matrix, True) == list(reference_scan(matrix, True)), code
 
 
 def test_min_interior_witness_revalidates():

@@ -47,6 +47,44 @@ def test_verify_parameter_validation():
         verify_lower("nope", t_values=[0])
 
 
+def test_pool_size_is_clamped_to_tasks_and_affinity(monkeypatch):
+    from lomlab import verifier
+
+    monkeypatch.setattr(verifier.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert verifier.available_cpus() == 4
+    assert verifier._pool_size(5000, 100) == 4
+    assert verifier._pool_size(5000, 3) == 3
+    assert verifier._pool_size(2, 100) == 2
+    assert verifier._pool_size(0, 100) == 1
+    assert verifier._pool_size(-7, 0) == 1
+
+
+def test_map_instances_starts_only_the_clamped_pool(monkeypatch):
+    from lomlab import verifier
+
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verifier.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", FakePool)
+    assert verifier._map_instances(abs, [-1, -2, -3], workers=5000) == [1, 2, 3]
+    assert started == [2]
+    assert verifier._map_instances(abs, [-4], workers=5000) == [4]
+    assert started == [2]  # one task runs in this process
+
+
 def test_verify_workers_agree_with_sequential():
     seq = verify_lower("dim2", t_values=range(0, 3), workers=1)
     par = verify_lower("dim2", t_values=range(0, 3), workers=2)
