@@ -121,32 +121,3 @@ def separating_functional(
         return None
     return [solution[j] - solution[dim + j] for j in range(dim)]
 
-
-def zero_in_convex_hull(vectors: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact test for 0 in conv(vectors)."""
-    if not vectors:
-        return False
-    dim = len(vectors[0])
-    rows: Matrix = [[Fraction(v[i]) for v in vectors] for i in range(dim)]
-    rows.append([Fraction(1)] * len(vectors))
-    rhs: Vector = [Fraction(0)] * dim + [Fraction(1)]
-    return feasible_nonneg(rows, rhs) is not None
-
-
-def hulls_intersect(
-    left: Sequence[Sequence[Fraction]], right: Sequence[Sequence[Fraction]]
-) -> bool:
-    """Exact test for conv(left) meeting conv(right)."""
-    if not left or not right:
-        return False
-    dim = len(left[0])
-    nl, nr = len(left), len(right)
-    rows: Matrix = []
-    for i in range(dim):
-        rows.append(
-            [Fraction(v[i]) for v in left] + [-Fraction(v[i]) for v in right]
-        )
-    rows.append([Fraction(1)] * nl + [Fraction(0)] * nr)
-    rows.append([Fraction(0)] * nl + [Fraction(1)] * nr)
-    rhs: Vector = [Fraction(0)] * dim + [Fraction(1), Fraction(1)]
-    return feasible_nonneg(rows, rhs) is not None

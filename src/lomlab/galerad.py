@@ -1,20 +1,33 @@
 """Exact point configurations, Gale transforms and Radon partition counting.
 
-All decisions in this module are determinant-sign or feasibility questions,
-so every coordinate is an exact fraction and no floating point enters any
-decision path.  Points are 1-indexed in errors and reports.
+All decisions in this module are determinant-sign or feasibility questions.
+Coordinates are exact fractions, determinants run on integers, and no
+floating point enters any decision path.  Points are 1-indexed in errors
+and reports.
 
-The pivotal facts used here, each covered by tests against independent
-oracles:
+Every Radon decision reads one table: the chirotope of the lifted points,
+mapping each (d+1)-subset bitmask (bit i - 1 for point i) to the sign of
+det[(1, x_i)].  It is built once per configuration with integer Bareiss
+elimination, after scaling each point by the lcm of its denominators (a
+positive scale, which keeps every sign).  The pivotal facts used here, each
+covered by tests against independent oracles:
 
   * a set of d + 2 points in general position has exactly one minimal Radon
-    partition, read off the sign classes of its unique affine dependence;
+    partition, read off the sign classes of its unique affine dependence,
+    whose k-th cofactor sign is (-1)^k chi(subset minus its k-th point);
   * a red/blue coloring induces that partition exactly when its color
-    classes match the sign classes up to swapping the two colors;
+    classes match the sign classes up to swapping the two colors, one mask
+    comparison per subset;
   * appending a 1 to each point and negating the blue ones turns induced
     partitions into (d+2)-subsets of rays whose convex hull captures the
     origin, which connects the count to facets of a dual configuration via
-    the Gale transform.
+    the Gale transform;
+  * flipping one point's color changes only the subsets that contain it, so
+    max_r walks the colorings in Gray-code order and recounts those alone;
+  * by Kirchberger's theorem (Caratheodory in the lifted space), a point's
+    signed ray is strictly separable from the others exactly when flipping
+    its color induces no partition at all, so lift_unbalanced runs the
+    exact simplex only on the first point passing that check.
 """
 
 from __future__ import annotations
@@ -22,8 +35,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator
+from math import lcm
+from typing import Iterable
 
 from .exactlp import separating_functional
 
@@ -53,26 +68,40 @@ class PointFormatError(ValueError):
     """Malformed point or coloring text."""
 
 
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    size = len(rows)
+def _det_sign(rows: list[list[int]]) -> int:
+    """Sign of an integer determinant, by Bareiss fraction-free elimination."""
     mat = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(size):
-        pivot_row = next((i for i in range(col, size) if mat[i][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            mat[col], mat[pivot_row] = mat[pivot_row], mat[col]
-            det = -det
-        pivot = mat[col][col]
-        det *= pivot
-        for i in range(col + 1, size):
-            if mat[i][col] != 0:
-                factor = mat[i][col] / pivot
-                for j in range(col, size):
-                    mat[i][j] -= factor * mat[col][j]
-    return det
+    size = len(mat)
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if mat[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if mat[i][k] != 0), None)
+            if swap is None:
+                return 0
+            mat[k], mat[swap] = mat[swap], mat[k]
+            sign = -sign
+        top, pivot = mat[k], mat[k][k]
+        for row in mat[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    last = mat[-1][-1]
+    return sign * ((last > 0) - (last < 0))
+
+
+def _lifted_rows(points: Iterable[Vector]) -> list[list[int]]:
+    """Rows L * (1, x) with L the lcm of the point's denominators."""
+    rows = []
+    for p in points:
+        scale = lcm(*(c.denominator for c in p))
+        rows.append([scale] + [c.numerator * (scale // c.denominator) for c in p])
+    return rows
+
+
+def _bits(indices: Iterable[int]) -> int:
+    """Bitmask of distinct 0-based point indices."""
+    return sum(1 << i for i in indices)
 
 
 def _null_space(rows: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -118,12 +147,15 @@ class PointConfig:
     """n exact points in dimension d, in general position.
 
     General position (every (d+1)-subset affinely independent) is validated
-    at construction; violations raise GeneralPositionError naming the
-    offending subset with 1-based labels.
+    at construction, while the chirotope table is built; violations raise
+    GeneralPositionError naming the first offending subset, in combinations
+    order, with 1-based labels.
     """
 
     dim: int
     points: tuple[Vector, ...]
+    # (d+1)-subset bitmask -> sign (+1 or -1) of det[(1, x_i)] over its points
+    chirotope: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -133,14 +165,38 @@ class PointConfig:
         for p in self.points:
             if len(p) != self.dim:
                 raise ValueError(f"point {p} does not have dimension {self.dim}")
+        rows = _lifted_rows(self.points)
+        table = {}
         for subset in combinations(range(self.n), self.dim + 1):
-            rows = [[Fraction(1)] + list(self.points[i]) for i in subset]
-            if _det(rows) == 0:
+            sign = _det_sign([rows[i] for i in subset])
+            if sign == 0:
                 raise GeneralPositionError(tuple(i + 1 for i in subset))
+            table[_bits(subset)] = sign
+        object.__setattr__(self, "chirotope", table)
 
     @property
     def n(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def _partitions(self) -> dict[int, tuple[int, int]]:
+        """(d+2)-subset bitmask -> (pos, neg) masks of its minimal Radon
+        partition, in combinations order.
+
+        Point s_k of the subset is in pos when chi(subset minus s_k) > 0
+        equals k being even: the sign of the k-th cofactor of the unique
+        affine dependence.
+        """
+        chi = self.chirotope
+        out = {}
+        for subset in combinations(range(self.n), self.dim + 2):
+            members = _bits(subset)
+            pos = 0
+            for k, s in enumerate(subset):
+                if (chi[members ^ (1 << s)] > 0) == (k % 2 == 0):
+                    pos |= 1 << s
+            out[members] = (pos, members ^ pos)
+        return out
 
     @classmethod
     def from_rows(cls, dim: int, rows: Iterable[Iterable]) -> "PointConfig":
@@ -267,24 +323,13 @@ def affine_projection(config: PointConfig, coloring: Coloring) -> tuple[Vector, 
     return tuple(rays)
 
 
-def _minimal_partition(config: PointConfig, subset: tuple[int, ...]) -> tuple[frozenset[int], frozenset[int]]:
-    """Sign classes of the unique affine dependence of a (d+2)-subset.
+def _red_bits(coloring: Coloring) -> int:
+    return _bits(i for i, c in enumerate(coloring.labels) if c == RED)
 
-    Uses the cofactor expansion: alpha_k = (-1)^k det of the lifted matrix
-    with column k removed.  General position keeps every alpha_k nonzero.
-    """
-    lifted = [[Fraction(1)] + list(config.points[i - 1]) for i in subset]
-    positive, negative = [], []
-    for k, label in enumerate(subset):
-        rows = [lifted[i] for i in range(len(subset)) if i != k]
-        value = _det(rows)
-        if value == 0:
-            raise GeneralPositionError(subset)
-        if (value > 0) == (k % 2 == 0):
-            positive.append(label)
-        else:
-            negative.append(label)
-    return frozenset(positive), frozenset(negative)
+
+def _count(partitions: dict[int, tuple[int, int]], red: int) -> int:
+    """Subsets whose minimal partition the red mask induces."""
+    return sum((red & members) in sides for members, sides in partitions.items())
 
 
 def is_radon_pair(config: PointConfig, subset: Iterable[int], coloring: Coloring) -> bool:
@@ -300,59 +345,92 @@ def is_radon_pair(config: PointConfig, subset: Iterable[int], coloring: Coloring
         raise ValueError(f"subset must have d + 2 = {config.dim + 2} points, got {len(sub)}")
     if sub[0] < 1 or sub[-1] > config.n:
         raise ValueError(f"subset {sub} out of range 1..{config.n}")
+    if len(set(sub)) != len(sub):
+        raise ValueError(f"subset {sub} repeats a point")
     if coloring.n != config.n:
         raise ValueError("coloring length must match the configuration")
-    pos, neg = _minimal_partition(config, sub)
-    reds = frozenset(i for i in sub if coloring.color(i) == RED)
-    blues = frozenset(sub) - reds
-    return (reds, blues) in ((pos, neg), (neg, pos))
+    members = _bits(i - 1 for i in sub)
+    return (_red_bits(coloring) & members) in config._partitions[members]
 
 
 def count_induced(config: PointConfig, coloring: Coloring) -> int:
     """Number of (d+2)-subsets whose minimal Radon partition the coloring induces."""
     if config.n < config.dim + 2:
         raise ValueError("need n >= d + 2 to count induced partitions")
-    return sum(
-        1
-        for sub in combinations(range(1, config.n + 1), config.dim + 2)
-        if is_radon_pair(config, sub, coloring)
-    )
+    if coloring.n != config.n:
+        raise ValueError("coloring length must match the configuration")
+    return _count(config._partitions, _red_bits(coloring))
 
 
 MAX_EXHAUSTIVE_POINTS = 22
 
 
-def _colorings(n: int) -> Iterator[Coloring]:
-    # point 1 pinned red: swapping colors never changes the induced count
-    for mask in range(1 << (n - 1)):
-        labels = [RED]
-        for i in range(n - 1):
-            labels.append(BLUE if (mask >> i) & 1 else RED)
-        yield Coloring(tuple(labels))
+def _flip_slices(config: PointConfig) -> list[tuple[tuple[int, int, int], ...]]:
+    """Per point p, the (d+2)-subsets through p as bit-sliced columns.
+
+    Number the subsets containing p by j.  Slice p holds (1 << q, same_q,
+    other_q) for each other point q: bit j of same_q (other_q) is set when q
+    is on p's side (the other side) of subset j's partition.  With p red,
+    subset j is induced exactly when its red members besides p are the rest
+    of p's side; with p blue, when they are the other side.
+    """
+    n = config.n
+    slices = []
+    for p in range(n):
+        same, other = [0] * n, [0] * n
+        through_p = [sides for members, sides in config._partitions.items() if members >> p & 1]
+        for j, (pos, neg) in enumerate(through_p):
+            near, far = (pos, neg) if pos >> p & 1 else (neg, pos)
+            for q in range(n):
+                if near >> q & 1:
+                    same[q] |= 1 << j
+                elif far >> q & 1:
+                    other[q] |= 1 << j
+        slices.append(tuple((1 << q, same[q], other[q]) for q in range(n) if q != p))
+    return slices
 
 
 def max_r(config: PointConfig) -> tuple[int, Coloring]:
     """Exhaustive maximum induced count over colorings, with point 1 red.
 
-    Returns the maximum and the first witness in mask order, which is the
-    lexicographically least maximizing coloring under R < B.  Configurations
-    beyond 22 points are refused; use max_r_sampled for those.
+    Returns the maximum and the first witness in mask order (bit i of the
+    mask colors point i + 2 blue), which is the lexicographically least
+    maximizing coloring under R < B.  The colorings are walked in Gray-code
+    order: step i flips the point of the lowest set bit of i, and only the
+    subsets through that point are recounted, all at once on the bit-sliced
+    columns of _flip_slices.  Configurations beyond 22 points are refused;
+    use max_r_sampled for those.
     """
-    if config.n > MAX_EXHAUSTIVE_POINTS:
+    n = config.n
+    if n > MAX_EXHAUSTIVE_POINTS:
         raise ValueError(
             f"exhaustive search is capped at {MAX_EXHAUSTIVE_POINTS} points; "
             "call max_r_sampled for an approximate scan"
         )
-    splits = _subset_splits(config)
-    best = -1
-    witness: Coloring | None = None
-    for coloring in _colorings(config.n):
-        value = _count_with_splits(splits, coloring)
-        if value > best:
-            best = value
-            witness = coloring
-    assert witness is not None
-    return best, witness
+    slices = _flip_slices(config)
+    red = (1 << n) - 1
+    count = best = _count(config._partitions, red)
+    best_mask = 0
+    for i in range(1, 1 << (n - 1)):
+        p = (i & -i).bit_length()  # mask bit p - 1 is point index p
+        # the subsets through p that p red, and p blue, fails to induce
+        missed_red = missed_blue = 0
+        for bit, same, other in slices[p]:
+            if red & bit:
+                missed_red |= other
+                missed_blue |= same
+            else:
+                missed_red |= same
+                missed_blue |= other
+        delta = missed_red.bit_count() - missed_blue.bit_count()
+        count += delta if red >> p & 1 else -delta
+        red ^= 1 << p
+        if count >= best:
+            mask = i ^ (i >> 1)
+            if count > best or mask < best_mask:
+                best, best_mask = count, mask
+    red = ((1 << n) - 1) ^ (best_mask << 1)
+    return best, Coloring(tuple(RED if red >> i & 1 else BLUE for i in range(n)))
 
 
 def max_r_sampled(config: PointConfig, samples: int, seed: int) -> tuple[int, Coloring]:
@@ -362,13 +440,13 @@ def max_r_sampled(config: PointConfig, samples: int, seed: int) -> tuple[int, Co
     approximate by construction; the exhaustive contract stays with max_r.
     """
     rng = random.Random(seed)
-    splits = _subset_splits(config)
+    partitions = config._partitions
     best = -1
     witness: Coloring | None = None
     for _ in range(samples):
         labels = (RED,) + tuple(rng.choice((RED, BLUE)) for _ in range(config.n - 1))
         coloring = Coloring(labels)
-        value = _count_with_splits(splits, coloring)
+        value = _count(partitions, _red_bits(coloring))
         if value > best:
             best = value
             witness = coloring
@@ -377,48 +455,38 @@ def max_r_sampled(config: PointConfig, samples: int, seed: int) -> tuple[int, Co
     return best, witness
 
 
-def _subset_splits(config: PointConfig):
-    splits = []
-    for sub in combinations(range(1, config.n + 1), config.dim + 2):
-        pos, neg = _minimal_partition(config, sub)
-        splits.append((frozenset(sub), pos))
-    return splits
-
-
-def _count_with_splits(splits, coloring: Coloring) -> int:
-    reds = coloring.red
-    count = 0
-    for members, pos in splits:
-        inside = members & reds
-        if inside == pos or inside == members - pos:
-            count += 1
-    return count
-
-
 def lift_unbalanced(config: PointConfig, coloring: Coloring) -> tuple[PointConfig, Coloring]:
     """Rebuild the configuration so one color class is a single point while
     the induced count is preserved.
 
     The signed rays of (config, coloring) are scanned for a point strictly
-    separable from the rest by a hyperplane through the origin (an exact
-    feasibility question).  Cutting the ray bundle with a hyperplane
-    parallel to the separator yields the new configuration; every subset
-    keeps its ray bundle up to positive scaling and one linear change of
-    coordinates, so the induced count is unchanged.  Raises
-    LiftSeparationError when no point is separable, which happens exactly
-    when the dual configuration of the best representative stays convex.
+    separable from the rest by a hyperplane through the origin.  By
+    Kirchberger's theorem that holds exactly when flipping the point's color
+    induces no partition: general position leaves each (d+2)-subset one
+    Radon partition, and the origin is in the hull of the flipped rays
+    exactly when it is in the hull of d + 2 of them.  The exact simplex then
+    runs once, on the first such point, for the separator.  Cutting the ray
+    bundle with a hyperplane parallel to the separator yields the new
+    configuration; every subset keeps its ray bundle up to positive scaling
+    and one linear change of coordinates, so the induced count is unchanged.
+    Raises LiftSeparationError when no point is separable, which happens
+    exactly when the dual configuration of the best representative stays
+    convex.
     """
     rays = affine_projection(config, coloring)
-    chosen: int | None = None
-    functional: list[Fraction] | None = None
-    for index in range(config.n):
-        w = separating_functional(rays, index)
-        if w is not None:
-            chosen, functional = index, w
-            break
-    if chosen is None or functional is None:
+    red = _red_bits(coloring)
+    partitions = config._partitions
+    chosen = next(
+        (i for i in range(config.n) if _count(partitions, red ^ (1 << i)) == 0), None
+    )
+    if chosen is None:
         raise LiftSeparationError(
             "no point of the signed projection is strictly separable from the rest"
+        )
+    functional = separating_functional(rays, chosen)
+    if functional is None:
+        raise ArithmeticError(
+            f"point {chosen + 1} induces no partition when flipped but has no separator"
         )
     # cut each ray with the hyperplane <w, z> = 1 (sign of the scale encodes
     # the side), then drop one coordinate with w_k != 0 as an affine chart

@@ -4,7 +4,8 @@ Everything here recomputes quantities from first principles (circuit signs
 of a chirotope, exhaustive staircase collection, Gale evenness, exact hull
 feasibility) without touching the travel or counting machinery under test.
 The reference class scan is the slow tuple-based loop that the travel
-kernel is checked against.
+kernel is checked against; the reference Radon functions are the Fraction
+cofactor loops that the chirotope table and the Gray-code max_r replaced.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from lomlab.exactlp import hulls_intersect, zero_in_convex_hull
-from lomlab.galerad import PointConfig, _det
+from lomlab.exactlp import feasible_nonneg
+from lomlab.galerad import BLUE, RED, Coloring, PointConfig
 from lomlab.sign_matrix import SignMatrix
 
 
@@ -61,8 +62,7 @@ def config_chi(config: PointConfig):
     """Chirotope of a point configuration via lifted determinant signs."""
 
     def chi(basis):
-        rows = [[Fraction(1)] + list(config.points[i - 1]) for i in basis]
-        value = _det(rows)
+        value = reference_det(_lifted(config.points, basis))
         assert value != 0, "configuration not in general position"
         return 1 if value > 0 else -1
 
@@ -284,6 +284,119 @@ def reference_min_interior(matrix: SignMatrix, include_trivial: bool = True):
 
 
 # ---------------------------------------------------------------------------
+# Reference Radon partitions: Fraction determinants, one cofactor expansion
+# per subset and a full recount per coloring in mask order.  These are the
+# loops the chirotope table and the Gray-code max_r in lomlab.galerad
+# replaced; the tests compare the two.
+
+
+def reference_det(rows: list[list[Fraction]]) -> Fraction:
+    """Exact determinant by Gaussian elimination over fractions."""
+    size = len(rows)
+    mat = [row[:] for row in rows]
+    det = Fraction(1)
+    for col in range(size):
+        pivot_row = next((i for i in range(col, size) if mat[i][col] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            mat[col], mat[pivot_row] = mat[pivot_row], mat[col]
+            det = -det
+        pivot = mat[col][col]
+        det *= pivot
+        for i in range(col + 1, size):
+            if mat[i][col] != 0:
+                factor = mat[i][col] / pivot
+                for j in range(col, size):
+                    mat[i][j] -= factor * mat[col][j]
+    return det
+
+
+def _lifted(points, labels):
+    return [[Fraction(1)] + list(points[i - 1]) for i in labels]
+
+
+def reference_dependent_subset(dim: int, points):
+    """First (d+1)-subset, in combinations order and 1-based, whose lifted
+    determinant vanishes; None in general position."""
+    for subset in combinations(range(1, len(points) + 1), dim + 1):
+        if reference_det(_lifted(points, subset)) == 0:
+            return subset
+    return None
+
+
+def reference_minimal_partition(config: PointConfig, subset):
+    """Sign classes of the unique affine dependence of a (d+2)-subset, by
+    the cofactor expansion alpha_k = (-1)^k det(lifted rows without k)."""
+    lifted = _lifted(config.points, subset)
+    positive, negative = [], []
+    for k, label in enumerate(subset):
+        value = reference_det([row for i, row in enumerate(lifted) if i != k])
+        assert value != 0, "configuration not in general position"
+        (positive if (value > 0) == (k % 2 == 0) else negative).append(label)
+    return frozenset(positive), frozenset(negative)
+
+
+def reference_is_radon_pair(config: PointConfig, subset, coloring: Coloring) -> bool:
+    sub = tuple(sorted(subset))
+    pos, neg = reference_minimal_partition(config, sub)
+    reds = frozenset(i for i in sub if coloring.color(i) == RED)
+    return (reds, frozenset(sub) - reds) in ((pos, neg), (neg, pos))
+
+
+def _reference_splits(config: PointConfig):
+    return [
+        (frozenset(sub), reference_minimal_partition(config, sub)[0])
+        for sub in combinations(range(1, config.n + 1), config.dim + 2)
+    ]
+
+
+def _reference_count(splits, coloring: Coloring) -> int:
+    reds = coloring.red
+    count = 0
+    for members, pos in splits:
+        inside = members & reds
+        if inside == pos or inside == members - pos:
+            count += 1
+    return count
+
+
+def reference_count_induced(config: PointConfig, coloring: Coloring) -> int:
+    return _reference_count(_reference_splits(config), coloring)
+
+
+def reference_colorings(n: int):
+    """Every coloring with point 1 red, in mask order (bit i: point i + 2 blue)."""
+    for mask in range(1 << (n - 1)):
+        labels = [RED] + [BLUE if (mask >> i) & 1 else RED for i in range(n - 1)]
+        yield Coloring(tuple(labels))
+
+
+def reference_max_r(config: PointConfig):
+    """(maximum count, first maximizing coloring in mask order)."""
+    splits = _reference_splits(config)
+    best, witness = -1, None
+    for coloring in reference_colorings(config.n):
+        value = _reference_count(splits, coloring)
+        if value > best:
+            best, witness = value, coloring
+    return best, witness
+
+
+def reference_max_r_sampled(config: PointConfig, samples: int, seed: int):
+    rng = random.Random(seed)
+    splits = _reference_splits(config)
+    best, witness = -1, None
+    for _ in range(samples):
+        labels = (RED,) + tuple(rng.choice((RED, BLUE)) for _ in range(config.n - 1))
+        coloring = Coloring(labels)
+        value = _reference_count(splits, coloring)
+        if value > best:
+            best, witness = value, coloring
+    return best, witness
+
+
+# ---------------------------------------------------------------------------
 # Polytope oracles.
 
 
@@ -312,26 +425,46 @@ def facet_subsets(config: PointConfig):
     d, n = config.dim, config.n
     facets = []
     for subset in combinations(range(1, n + 1), d):
-        rows = [[Fraction(1)] + list(config.points[i - 1]) for i in subset]
+        rows = _lifted(config.points, subset)
         signs = set()
         for other in range(1, n + 1):
             if other in subset:
                 continue
-            value = _det(rows + [[Fraction(1)] + list(config.points[other - 1])])
+            value = reference_det(rows + _lifted(config.points, (other,)))
             signs.add(value > 0)
         if len(signs) == 1:
             facets.append(frozenset(subset))
     return facets
 
 
+def zero_in_hull(vectors) -> bool:
+    """Exact test for 0 in conv(vectors), as a phase-1 feasibility problem."""
+    if not vectors:
+        return False
+    dim = len(vectors[0])
+    rows = [[Fraction(v[i]) for v in vectors] for i in range(dim)]
+    rows.append([Fraction(1)] * len(vectors))
+    rhs = [Fraction(0)] * dim + [Fraction(1)]
+    return feasible_nonneg(rows, rhs) is not None
+
+
+def hulls_intersect(left, right) -> bool:
+    """Exact test for conv(left) meeting conv(right)."""
+    if not left or not right:
+        return False
+    dim = len(left[0])
+    nl, nr = len(left), len(right)
+    rows = [[Fraction(v[i]) for v in left] + [-Fraction(v[i]) for v in right] for i in range(dim)]
+    rows.append([Fraction(1)] * nl + [Fraction(0)] * nr)
+    rows.append([Fraction(0)] * nl + [Fraction(1)] * nr)
+    rhs = [Fraction(0)] * dim + [Fraction(1), Fraction(1)]
+    return feasible_nonneg(rows, rhs) is not None
+
+
 def hulls_meet(config: PointConfig, left_labels, right_labels) -> bool:
     left = [config.points[i - 1] for i in left_labels]
     right = [config.points[i - 1] for i in right_labels]
     return hulls_intersect(left, right)
-
-
-def zero_in_hull(vectors) -> bool:
-    return zero_in_convex_hull(vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +484,6 @@ def config_from_rays(rays, seed: int = 0):
     last coordinate, then reads the first coordinates as an affine chart.
     Used to dualize Gale transforms back into colored point sets.
     """
-    from lomlab.galerad import Coloring
-
     dim = len(rays[0])
     rng = random.Random(seed)
     for attempt in range(200):
@@ -360,7 +491,7 @@ def config_from_rays(rays, seed: int = 0):
             mat = [[Fraction(1 if i == j else 0) for j in range(dim)] for i in range(dim)]
         else:
             mat = [[Fraction(rng.randint(-3, 3)) for _ in range(dim)] for _ in range(dim)]
-        if _det([row[:] for row in mat]) == 0:
+        if reference_det(mat) == 0:
             continue
         images = [
             tuple(sum(mat[i][k] * r[k] for k in range(dim)) for i in range(dim))

@@ -5,7 +5,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lomlab import galerad
 from lomlab.bounds import hd1_bound
+from lomlab.exactlp import separating_functional
 from lomlab.galerad import (
     Coloring,
     DegenerateSpanError,
@@ -22,13 +24,21 @@ from lomlab.galerad import (
     max_r_sampled,
     random_point_config,
 )
-from lomlab.galerad import _det, _null_space
+from lomlab.galerad import _null_space
 
 from oracles import (
+    config_chi,
     config_from_rays,
     facet_subsets,
     hulls_meet,
     never_convex,
+    reference_colorings,
+    reference_count_induced,
+    reference_dependent_subset,
+    reference_det as _det,
+    reference_is_radon_pair,
+    reference_max_r,
+    reference_max_r_sampled,
     zero_in_hull,
 )
 
@@ -264,17 +274,11 @@ def test_max_r_witness_is_lexicographically_least():
         return tuple(0 if c == "R" else 1 for c in coloring.labels)
 
     best = min(
-        (c for c in _all_colorings_first_red(5) if count_induced(LINE5, c) == value),
+        (c for c in reference_colorings(5) if count_induced(LINE5, c) == value),
         key=key,
     )
     assert witness == best
     assert witness.to_string() == "RBRBR"
-
-
-def _all_colorings_first_red(n):
-    for mask in range(1 << (n - 1)):
-        labels = ["R"] + ["B" if (mask >> i) & 1 else "R" for i in range(n - 1)]
-        yield Coloring(tuple(labels))
 
 
 def test_max_r_refuses_oversized_exhaustive():
@@ -377,3 +381,154 @@ def test_det_triangle():
         [Fraction(1), Fraction(5), Fraction(4)],
     ]
     assert _det(rows) == 24
+
+
+# ---------------------------------------------------------------------------
+# The chirotope table, the Gray-code walk and the Kirchberger check against
+# the Fraction cofactor references in oracles.py.
+
+
+def _coordinate(rng, fractional, bound):
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, 4) if fractional else 1)
+
+
+@st.composite
+def configs(draw, max_extra=4):
+    """General-position configurations, d 1-3 and n from d + 2 to d + 2 +
+    max_extra, with integer or fractional coordinates."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d + 2, d + 2 + max_extra))
+    fractional = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    while True:
+        points = tuple(
+            tuple(_coordinate(rng, fractional, 9) for _ in range(d)) for _ in range(n)
+        )
+        if reference_dependent_subset(d, points) is None:
+            return PointConfig(d, points)
+
+
+def _colorings(config, seed, count):
+    rng = random.Random(seed)
+    return [Coloring(tuple(rng.choice("RB") for _ in range(config.n))) for _ in range(count)]
+
+
+@given(configs())
+@settings(max_examples=60, deadline=None)
+def test_chirotope_table_matches_determinant_oracle(config):
+    chi = config_chi(config)
+    bases = list(combinations(range(1, config.n + 1), config.dim + 1))
+    assert len(config.chirotope) == len(bases)
+    for basis in bases:
+        mask = sum(1 << (i - 1) for i in basis)
+        assert config.chirotope[mask] == chi(basis)
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(0, 4),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_general_position_error_names_first_dependent_subset(d, extra, fractional, seed):
+    # coordinates in [-2, 2] make dependent subsets common
+    rng = random.Random(seed)
+    points = tuple(
+        tuple(_coordinate(rng, fractional, 2) for _ in range(d)) for _ in range(d + 1 + extra)
+    )
+    expected = reference_dependent_subset(d, points)
+    if expected is None:
+        PointConfig(d, points)
+    else:
+        with pytest.raises(GeneralPositionError) as info:
+            PointConfig(d, points)
+        assert info.value.subset == expected
+
+
+@given(configs(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_radon_pair_and_count_match_reference(config, seed):
+    for coloring in _colorings(config, seed, 4):
+        assert count_induced(config, coloring) == reference_count_induced(config, coloring)
+        for subset in combinations(range(1, config.n + 1), config.dim + 2):
+            assert is_radon_pair(config, subset, coloring) == reference_is_radon_pair(
+                config, subset, coloring
+            )
+
+
+@given(configs())
+@settings(max_examples=60, deadline=None)
+def test_max_r_matches_reference_loop(config):
+    assert max_r(config) == reference_max_r(config)
+
+
+def test_max_r_ties_go_to_the_least_mask():
+    ties = 0
+    for d, n, seed in ((2, 5, 1), (2, 6, 2), (2, 7, 3), (3, 6, 4)):
+        config = random_point_config(n, d, seed=seed)
+        values = [reference_count_induced(config, c) for c in reference_colorings(n)]
+        best = max(values)
+        ties += values.count(best) > 1
+        value, witness = max_r(config)
+        assert value == best
+        assert witness == list(reference_colorings(n))[values.index(best)]
+    assert ties == 4
+
+
+@given(configs(max_extra=6), st.integers(1, 40), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_max_r_sampled_matches_reference(config, samples, seed):
+    assert max_r_sampled(config, samples, seed) == reference_max_r_sampled(config, samples, seed)
+
+
+@given(configs(max_extra=3), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_kirchberger_check_matches_separating_functional(config, seed):
+    # a point's signed ray is strictly separable from the others exactly
+    # when flipping its color induces no partition
+    for coloring in _colorings(config, seed, 2):
+        rays = affine_projection(config, coloring)
+        separable = []
+        for i in range(1, config.n + 1):
+            labels = list(coloring.labels)
+            labels[i - 1] = "B" if labels[i - 1] == "R" else "R"
+            flipped = Coloring(tuple(labels))
+            lp = separating_functional(rays, i - 1) is not None
+            assert (count_induced(config, flipped) == 0) == lp
+            if lp:
+                separable.append(i)
+        if separable:
+            _, lifted_coloring = lift_unbalanced(config, coloring)
+            assert lifted_coloring.red == {separable[0]}
+        else:
+            with pytest.raises(LiftSeparationError):
+                lift_unbalanced(config, coloring)
+
+
+def test_lift_runs_the_simplex_only_on_the_chosen_point(monkeypatch):
+    calls = []
+
+    def counting(vectors, index):
+        calls.append(index)
+        return separating_functional(vectors, index)
+
+    monkeypatch.setattr(galerad, "separating_functional", counting)
+    with pytest.raises(LiftSeparationError):
+        lift_unbalanced(LINE5, max_r(LINE5)[1])
+    assert calls == []
+    line4 = PointConfig.from_rows(1, [(0,), (1,), (2,), (5,)])
+    _, lifted_coloring = lift_unbalanced(line4, Coloring.from_string("RRRB"))
+    assert calls == [min(lifted_coloring.red) - 1]
+
+
+def test_count_induced_validates_its_inputs():
+    with pytest.raises(ValueError):
+        count_induced(SQUARE, Coloring.from_string("RBB"))
+    with pytest.raises(ValueError):
+        count_induced(SQUARE, Coloring.from_string("RBBRR"))
+    triangle = PointConfig.from_rows(2, [(0, 0), (1, 0), (0, 1)])
+    with pytest.raises(ValueError):
+        count_induced(triangle, Coloring.from_string("RBR"))
+    with pytest.raises(ValueError):
+        is_radon_pair(SQUARE, (1, 1, 2, 3), Coloring.from_string("RBBR"))
