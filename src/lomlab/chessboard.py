@@ -192,18 +192,42 @@ def board_from_sequence(r: int, n: int, sequence: Sequence[int]) -> Chessboard:
     return Chessboard(tuple(tuple(row) for row in black), sequence=seq)
 
 
+def _prefix_xor(bits: int, width: int) -> int:
+    """Bit j of the result is the xor of bits 0 .. j of `bits`."""
+    shift = 1
+    while shift < width:
+        bits ^= bits << shift
+        shift <<= 1
+    return bits & ((1 << width) - 1)
+
+
+def canonical_row_masks(black: Sequence[int], width: int) -> list[int]:
+    """Row bitmasks of the canonical realization of a board.
+
+    `black` holds one mask per board row (bit j set when square column
+    j + 1 is black) and `width` is the board's column count.  In the
+    returned masks bit j is set when the entry in column j + 1 is -1.  Row 1
+    is all plus, and column 1 too: by the 2 x 2 parity rule, rows i and
+    i + 1 differ in column j + 1 exactly when an odd number of squares left
+    of it in board row i are black.
+    """
+    rows = [0]
+    for row in black:
+        rows.append(rows[-1] ^ (_prefix_xor(row, width) << 1))
+    return rows
+
+
 def canonical_matrix(board: Chessboard) -> SignMatrix:
     """The unique matrix with all-plus first row and first column realizing
     the board: each remaining entry is forced by the 2 x 2 parity rule."""
-    r, n = board.matrix_rows, board.matrix_cols
-    rows = [[1] * n]
-    for i in range(1, r):
-        row = [1]
-        for j in range(1, n):
-            parity = -1 if board.black[i - 1][j - 1] else 1
-            row.append(rows[i - 1][j - 1] * rows[i - 1][j] * row[j - 1] * parity)
-        rows.append(row)
-    return SignMatrix(tuple(tuple(row) for row in rows))
+    black = [sum(1 << j for j, v in enumerate(row) if v) for row in board.black]
+    n = board.matrix_cols
+    return SignMatrix(
+        tuple(
+            tuple(-1 if (mask >> j) & 1 else 1 for j in range(n))
+            for mask in canonical_row_masks(black, board.cols)
+        )
+    )
 
 
 def realize_sequence(r: int, n: int, sequence: Sequence[int]) -> SignMatrix:
@@ -213,6 +237,17 @@ def realize_sequence(r: int, n: int, sequence: Sequence[int]) -> SignMatrix:
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
+
+
+# Column count n(r, t) of each named construction: corners_for builds its
+# boards from it, and the exploratory search inverts it.
+CONSTRUCTION_N = {
+    "dim2": lambda r, t: t + 6,
+    "dim3": lambda r, t: t + 8,
+    "general": lambda r, t: (t + 1) * (r - 3) + 7,
+    "t1": lambda r, t: 2 * (r - 1) + _ceil_div(r, 2) + 1,
+    "even-d": lambda r, t: (r - 1) + (t + 1) * (r - 1) // 2 + 3,
+}
 
 
 def corners_for(theorem_id: str, r: int, t: int) -> Chessboard:
@@ -239,26 +274,26 @@ def corners_for(theorem_id: str, r: int, t: int) -> Chessboard:
         if t < 0:
             raise ValueError("dim2 construction requires t >= 0")
         seq = (2, t + 3)
-        h = (1, t + 3, t + 6)
+        h = (1, t + 3)
     elif theorem_id == "dim3":
         if r != 4:
             raise ValueError("dim3 construction requires r = 4")
         if t < 0:
             raise ValueError("dim3 construction requires t >= 0")
         seq = (2, t + 3, 2)
-        h = (1, t + 3, t + 6, t + 8)
+        h = (1, t + 3, t + 6)
     elif theorem_id == "general":
         if r < 5 or t < 2:
             raise ValueError("general construction requires r >= 5 and t >= 2")
         seq = (2, t + 3, 2) + (t + 1,) * (r - 4)
-        h = (1, t + 3, t + 6) + tuple((t + 1) * (m - 3) + 7 for m in range(4, r + 1))
+        h = (1, t + 3, t + 6) + tuple((t + 1) * (m - 3) + 7 for m in range(4, r))
     elif theorem_id == "t1":
         if r < 5:
             raise ValueError("t1 construction requires r >= 5")
         if t != 1:
             raise ValueError("t1 construction is the t = 1 family")
         seq = (2, 4) + tuple(2 if i % 2 == 0 else 3 for i in range(r - 3))
-        h = (1,) + tuple(2 * (m - 1) + _ceil_div(m, 2) + 1 for m in range(2, r + 1))
+        h = (1,) + tuple(2 * (m - 1) + _ceil_div(m, 2) + 1 for m in range(2, r))
     elif theorem_id == "even-d":
         if r < 5 or r % 2 == 0:
             raise ValueError("even-d construction requires odd r >= 5")
@@ -266,14 +301,14 @@ def corners_for(theorem_id: str, r: int, t: int) -> Chessboard:
             raise ValueError("even-d construction requires t >= 2")
         seq = (2, t + 3) + tuple(2 if i % 2 == 0 else t + 1 for i in range(r - 3))
         h = (1, t + 3) + tuple(
-            2 * _ceil_div(m - 1, 2) + (t + 1) * ((m - 1) // 2) + 3 for m in range(3, r + 1)
+            2 * _ceil_div(m - 1, 2) + (t + 1) * ((m - 1) // 2) + 3 for m in range(3, r)
         )
     else:
         raise ValueError(f"unknown construction {theorem_id!r}, want one of {THEOREM_IDS}")
-    n = h[-1]
+    n = CONSTRUCTION_N[theorem_id](r, t)
     assert sum(seq) == n - 1, "constructions are one-black-per-column boards"
     board = board_from_sequence(r, n, seq)
-    return Chessboard(board.black, sequence=seq, corners=h)
+    return Chessboard(board.black, sequence=seq, corners=h + (n,))
 
 
 def parallel_rule_check(matrix: SignMatrix) -> bool:

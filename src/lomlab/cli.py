@@ -145,7 +145,10 @@ def _cmd_verify(args) -> int:
             for which in sorted(verifier.COUNTEREXAMPLES):
                 reports.append(verifier.reproduce_counterexample(which))
         else:
-            for n in args.n or [5]:
+            ns = args.n or [5]
+            for n in ns:
+                verifier.check_rank3_n(n)  # refuse the whole range before scanning
+            for n in ns:
                 reports.append(
                     verifier.exhaustive_rank3_scan(
                         n, symmetry_prune=args.symmetry_prune, workers=args.workers

@@ -38,12 +38,16 @@ matrix itself whenever it is acyclic.  ``min_interior`` scans the plain
 travels plus that degenerate shape, so its minimum ranges over every acyclic
 reorientation class.
 
-Every class scan goes through ``scan_classes``, a depth-first search over
-the drop columns on int-bitmask rows.  Each class's top travel is its
-prescribed plain travel, so only the bottom travel is walked, one
-``int.bit_length`` step per segment, and criterion (c) becomes one AND per
-row of the two travels' masks of columns strictly inside a segment.  No
-table is kept per (r, n): all scan state lives on the search stack.
+Every class scan goes through one kernel, ``_scan``: a single generator
+frame that walks the drop columns depth first on an explicit stack, over
+int-bitmask rows.  ``scan_classes`` runs it on a matrix and ``_min_class``
+on raw row masks, which is how the rank-3 board scan reaches it without
+building a matrix per board.  Each class's top travel is its prescribed
+plain travel, so only the bottom travel is walked (``_interior_mask``, one
+``int.bit_length`` step per segment on the rows' turn masks), and criterion
+(c) becomes one AND per row of the two travels' masks of columns strictly
+inside a segment.  No table is kept per (r, n): a scan's state is its stack
+and one list of top-travel masks, set on descent and cleared on backtrack.
 """
 
 from __future__ import annotations
@@ -234,33 +238,98 @@ def _drop_step(row: int, below: int, a: int, b: int, pivot: int) -> tuple[int, i
     columns to flip so the walk stays level up to b and drops at b, the
     entry bit it carries into the row below, and the segment's inside mask.
     """
-    inside = _inside(a, b)
+    inside = ((1 << b) - 1) & (-2 << a)  # _inside(a, b), inlined
     drop = ((row >> b) ^ pivot ^ 1) & 1
     flips = ((row ^ -pivot) & inside) | drop << b
     return flips, ((below >> b) & 1) ^ drop, inside
 
 
-def _interior_mask(masks: list[int], flips: int, tops: Sequence[int], n: int) -> int:
+def _turn_masks(masks: Sequence[int]) -> list[int]:
+    """Per row, bit j set when the entries in columns j + 1 and j + 2 differ.
+
+    Reorienting by `flips` xors every row's turn mask with
+    ``flips ^ (flips >> 1)``.
+    """
+    return [mask ^ (mask >> 1) for mask in masks]
+
+
+def _interior_mask(turns: Sequence[int], flip_turns: int, tops: Sequence[int], n: int) -> int:
     """Column 1 and the middle interior columns of an acyclic matrix.
 
-    The matrix is `masks` reoriented by `flips`; tops[i + 1] is the inside
-    mask of its top travel in row i (0 for rows the top travel misses, and
-    tops[0] == 0).  The bottom travel is walked here, one step per segment:
-    the nearest column left of j whose entry differs from column j's is the
-    highest set bit of a masked xor.  Column n is left to the caller, since
-    the top travel alone decides it.
+    The matrix has turn masks `turns` (see ``_turn_masks``), reoriented by
+    the column mask `flips`, which enters as ``flip_turns = flips ^ (flips
+    >> 1)``.  tops[i + 1] is the inside mask of its top travel in row i (0
+    for rows the top travel misses, and tops[0] == 0).  The bottom travel
+    is walked here, one step per segment: walking left from column j, it
+    rises at the nearest turn left of j, the highest set bit of a masked
+    xor.  Column n is left to the caller, since the top travel alone
+    decides it.
     """
-    i, j, out = len(masks) - 1, n - 1, 0
+    i, j, out = len(turns) - 1, n - 1, 0
     while True:
-        row = masks[i] ^ flips
-        off = (row ^ -((row >> j) & 1)) & ((1 << j) - 1)
-        rise = off.bit_length() - 1 if off else 0
+        left = (1 << j) - 1
+        off = (turns[i] ^ flip_turns) & left
         # parallel at k: bottom row i against top row i or top row i - 1;
-        # the bottom segment's inside mask is _inside(rise, j), inlined
-        out |= ((1 << j) - 1) & (-2 << rise) & (tops[i] | tops[i + 1])
+        # the bottom segment's inside mask is _inside(rise, j), inlined, with
+        # rise = 0 when the walk runs out to column 1
         if not off:
-            return out | (i == 0 and j > 0)
+            return out | (left & -2 & (tops[i] | tops[i + 1])) | (i == 0 and j > 0)
+        rise = off.bit_length() - 1
+        out |= left & (-2 << rise) & (tops[i] | tops[i + 1])
         i, j = i - 1, rise
+
+
+def _scan(
+    masks: Sequence[int], n: int, include_trivial: bool = True
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """The class-scan kernel: (drops, flips, interior) per acyclic class.
+
+    `masks` are the matrix rows as bitmasks.  The drop prefixes are walked
+    depth first on an explicit stack, in ``_drop_sets`` order: a node's
+    children (drops at columns 2 .. n - 1) come first, then the class whose
+    last segment runs to column n, then the child dropping at n.  Each drop
+    extends the parent's flips by one travel segment, so classes sharing a
+    prefix share its work.  tops[k + 1] holds the inside mask of the top
+    travel in row k; it is set on descent and cleared on backtrack, so
+    every class reads the one list.
+    """
+    r = len(masks)
+    max_drops = min(r - 1, n - 1)
+    last = n - 1
+    turns = _turn_masks(masks)
+    tops = [0] * (r + 1)
+    # A node is a drop prefix: the top travel enters row k = len(drops) at
+    # column a with entry bit `pivot`, `flips` covers the columns up to a,
+    # and `inside` is the inside mask of the segment that dropped into row
+    # k.  A node with children is popped twice: first to push itself back,
+    # `opened`, above its children, then to close once they are done.
+    stack = [((), 0, 0, masks[0] & 1, 0, 0, False)]
+    while stack:
+        drops, k, a, pivot, flips, inside, opened = stack.pop()
+        if not opened:
+            tops[k] = inside
+            if k < max_drops:
+                stack.append((drops, k, a, pivot, flips, inside, True))
+                row, below_row = masks[k], masks[k + 1]
+                for b in range(last - 1, a, -1):
+                    step, below, inside = _drop_step(row, below_row, a, b, pivot)
+                    stack.append((drops + (b + 1,), k + 1, b, below, flips | step, inside, False))
+                continue
+        if drops or include_trivial:
+            # the last segment runs along row k from column a to column n
+            inside = ((1 << n) - 1) & (-2 << a)  # _inside(a, n), inlined
+            tops[k + 1] = inside
+            closed = flips | ((masks[k] ^ -pivot) & inside)
+            interior = _interior_mask(turns, closed ^ (closed >> 1), tops, n)
+            if k == r - 1 and a < last:
+                interior |= 1 << last
+            yield drops, closed, interior
+        if k < max_drops:
+            # the child dropping at column n: its last segment is empty
+            step, _, tops[k + 1] = _drop_step(masks[k], masks[k + 1], a, last, pivot)
+            closed = flips | step
+            yield drops + (n,), closed, _interior_mask(turns, closed ^ (closed >> 1), tops, n)
+        tops[k + 1] = 0
 
 
 def scan_classes(
@@ -273,44 +342,30 @@ def scan_classes(
     the 1-indexed drop columns of the class's plain travel; `flips` and
     `interior` are column bitmasks (bit j for column j + 1), the canonical
     reorientation and the interior set of the reoriented matrix.
-
-    The scan is a depth-first search over drop prefixes: each drop extends
-    the parent's flips by one travel segment, so classes sharing a prefix
-    share its work.  The top travel of each class is the prescribed plain
-    travel, so it is never walked; only the bottom travel is.
     """
-    rows = matrix.rows
-    r, n = len(rows), len(rows[0])
-    masks = _row_masks(rows)
-    max_drops = min(r - 1, n - 1)
-    pad = (0,) * r
+    return _scan(_row_masks(matrix.rows), matrix.n, include_trivial)
 
-    def close(drops, k, a, pivot, flips, tops):
-        # the last segment runs along row k from column a to column n
-        inside = _inside(a, n)
-        flips |= (masks[k] ^ -pivot) & inside
-        interior = _interior_mask(masks, flips, tops + (inside,) + pad, n)
-        if k == r - 1 and a < n - 1:
-            interior |= 1 << (n - 1)
-        return drops, flips, interior
 
-    # A node is a drop prefix: the top travel is fixed up to column a of row
-    # k = len(drops), entering it with entry bit `pivot`; `flips` covers the
-    # columns up to a, and `tops` is 0 then the inside masks of rows 0 .. k-1.
-    def visit(drops, k, a, pivot, flips, tops):
-        if k < max_drops:
-            for b in range(a + 1, n - 1):
-                step, below, inside = _drop_step(masks[k], masks[k + 1], a, b, pivot)
-                yield from visit(
-                    drops + (b + 1,), k + 1, b, below, flips | step, tops + (inside,)
-                )
-        if drops or include_trivial:
-            yield close(drops, k, a, pivot, flips, tops)
-        if k < max_drops:
-            step, below, inside = _drop_step(masks[k], masks[k + 1], a, n - 1, pivot)
-            yield close(drops + (n,), k + 1, n - 1, below, flips | step, tops + (inside,))
+def _min_class(
+    masks: Sequence[int], n: int, include_trivial: bool = True
+) -> tuple[int, tuple[int, ...]]:
+    """Least interior count over the classes and the first drops reaching it.
 
-    return visit((), 0, 0, masks[0] & 1, 0, (0,))
+    The scan stops at the first class with no interior element.
+    """
+    best, best_drops = n + 1, None
+    for drops, _, interior in _scan(masks, n, include_trivial):
+        count = interior.bit_count()
+        if count < best:
+            if count == 0:
+                return 0, drops
+            best, best_drops = count, drops
+    if best_drops is None:
+        raise ValueError(
+            f"a rank-{len(masks)} matrix has no plain travels; "
+            "scan it with include_trivial=True"
+        )
+    return best, best_drops
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +401,7 @@ def interior_elements(matrix: SignMatrix) -> frozenset[int]:
     tops = [0] * (matrix.r + 1)
     for i, lo, hi in segments:
         tops[i] = _inside(lo - 1, hi - 1)
-    interior = _interior_mask(_row_masks(rows), 0, tops, matrix.n)
+    interior = _interior_mask(_turn_masks(_row_masks(rows)), 0, tops, matrix.n)
     if row == matrix.r and a < matrix.n:
         interior |= 1 << (matrix.n - 1)
     return _columns(interior)
@@ -459,16 +514,5 @@ def min_interior(matrix: SignMatrix, include_trivial: bool = True) -> tuple[int,
     A rank-1 matrix has no plain travels, so scanning it without the
     one-segment shape raises ValueError.
     """
-    best: tuple[int, tuple[int, ...]] | None = None
-    for drops, _, interior in scan_classes(matrix, include_trivial):
-        count = interior.bit_count()
-        if best is None or count < best[0]:
-            best = (count, drops)
-            if count == 0:
-                break
-    if best is None:
-        raise ValueError(
-            f"a rank-{matrix.r} matrix has no plain travels; "
-            "scan it with include_trivial=True"
-        )
-    return best[0], plain_travel(matrix.r, matrix.n, best[1])
+    count, drops = _min_class(_row_masks(matrix.rows), matrix.n, include_trivial)
+    return count, plain_travel(matrix.r, matrix.n, drops)

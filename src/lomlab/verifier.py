@@ -14,12 +14,20 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .chessboard import Chessboard, board_from_sequence, canonical_matrix, corners_for
+from .chessboard import (
+    CONSTRUCTION_N,
+    Chessboard,
+    board_from_sequence,
+    canonical_matrix,
+    canonical_row_masks,
+    corners_for,
+)
 from .sign_matrix import SignMatrix, reorient
 from .travels import (
     Travel,
+    _min_class,
     enumerate_plain_travels,  # noqa: F401  (perfbench/spans.py wraps it here)
     interior_elements,
     min_interior,
@@ -275,6 +283,15 @@ def reproduce_counterexample(which: str) -> VerificationReport:
 # Exhaustive rank-3 board scan.
 
 
+RANK3_MAX_N = 10
+
+
+def check_rank3_n(n: int) -> None:
+    """Refuse, before any work, an n outside the exhaustive rank-3 box."""
+    if not (5 <= n <= RANK3_MAX_N):
+        raise ValueError(f"rank-3 scan supports 5 <= n <= {RANK3_MAX_N}, got {n}")
+
+
 def _board_from_code(n: int, code: int) -> Chessboard:
     width = n - 1
     rows = []
@@ -283,26 +300,36 @@ def _board_from_code(n: int, code: int) -> Chessboard:
     return Chessboard(tuple(rows))
 
 
-def _code_transforms(n: int, code: int) -> tuple[int, ...]:
+def _code_masks(n: int, code: int) -> list[int]:
+    """Row masks of the canonical matrix of the board with this code: the
+    low n - 1 bits are board row 1, the next n - 1 bits board row 2."""
     width = n - 1
-    top = [(code >> j) & 1 for j in range(width)]
-    bottom = [(code >> (width + j)) & 1 for j in range(width)]
+    return canonical_row_masks((code & ((1 << width) - 1), code >> width), width)
 
-    def pack(rows) -> int:
-        value = 0
-        for i, row in enumerate(rows):
-            for j, bit in enumerate(row):
-                value |= bit << (i * width + j)
-        return value
 
-    lr = [list(reversed(top)), list(reversed(bottom))]
-    tb = [bottom, top]
-    both = [list(reversed(bottom)), list(reversed(top))]
-    return (code, pack(lr), pack(tb), pack(both))
+def _bit_reversals(width: int) -> list[int]:
+    """rev[x] is x with its `width` low bits in reverse order."""
+    rev = [0] * (1 << width)
+    for x in range(1, 1 << width):
+        rev[x] = rev[x >> 1] >> 1 | (x & 1) << (width - 1)
+    return rev
+
+
+def _code_orbit(code: int, width: int, rev: Sequence[int]) -> tuple[int, int, int, int]:
+    """The code of the board, of its left-right mirror, of its top-bottom
+    flip and of both; `rev` is ``_bit_reversals(width)``."""
+    top, bottom = code & ((1 << width) - 1), code >> width
+    return (
+        code,
+        rev[top] | rev[bottom] << width,
+        bottom | top << width,
+        rev[bottom] | rev[top] << width,
+    )
 
 
 def _scan_chunk(args: tuple[int, int, int, int, bool]) -> tuple:
     n, start, stop, bound, prune = args
+    rev = _bit_reversals(n - 1) if prune else []
     worst = -1
     worst_code = -1
     attain = 0
@@ -312,12 +339,12 @@ def _scan_chunk(args: tuple[int, int, int, int, bool]) -> tuple:
     for code in range(start, stop):
         weight = 1
         if prune:
-            orbit = _code_transforms(n, code)
+            orbit = _code_orbit(code, n - 1, rev)
             if code != min(orbit):
                 continue
             weight = len(set(orbit))
         evaluated += 1
-        value = min_interior(canonical_matrix(_board_from_code(n, code)))[0]
+        value = _min_class(_code_masks(n, code), n)[0]
         if value > worst:
             worst, worst_code = value, code
         if value == bound:
@@ -334,13 +361,12 @@ def exhaustive_rank3_scan(
 ) -> VerificationReport:
     """Scan every 2 x (n-1) board and check min interior <= n - 5.
 
-    Supported for 5 <= n <= 9.  With symmetry_prune, only the smallest code
+    Supported for 5 <= n <= 10.  With symmetry_prune, only the smallest code
     of each orbit under left-right mirroring and top-bottom flipping is
     evaluated (both flips preserve the per-board minimum; the scan verdict
     and attainment counts are unchanged, which the tests cross-check).
     """
-    if not (5 <= n <= 9):
-        raise ValueError(f"rank-3 scan supports 5 <= n <= 9, got {n}")
+    check_rank3_n(n)
     start_time = time.perf_counter()
     total = 1 << (2 * (n - 1))
     bound = n - 5
@@ -427,19 +453,15 @@ class ExplorationResult:
 
 
 def _theorem_board_for(r: int, n: int) -> Chessboard | None:
-    if r == 3 and n >= 6:
-        return corners_for("dim2", 3, n - 6)
-    if r == 4 and n >= 8:
-        return corners_for("dim3", 4, n - 8)
-    if r >= 5:
-        if n == 2 * (r - 1) + -(-r // 2) + 1:
-            return corners_for("t1", r, 1)
-        if (n - 7) % (r - 3) == 0 and (n - 7) // (r - 3) >= 3:
-            return corners_for("general", r, (n - 7) // (r - 3) - 1)
-        if r % 2 == 1:
-            doubled = 2 * (n - r - 2)
-            if doubled % (r - 1) == 0 and doubled // (r - 1) >= 3:
-                return corners_for("even-d", r, doubled // (r - 1) - 1)
+    """The named construction of rank r with n columns, if there is one."""
+    for theorem_id in ("dim2", "dim3", "t1", "general", "even-d"):
+        n_of = CONSTRUCTION_N[theorem_id]
+        for t in range(n):  # every construction has n > t
+            if n_of(r, t) == n:
+                try:
+                    return corners_for(theorem_id, r, t)
+                except ValueError:  # (r, t) outside the construction's range
+                    continue
     return None
 
 
@@ -450,20 +472,25 @@ def search_small_topes(
 
     budget counts random boards tried beyond the default candidates (the
     matching named construction when one exists, otherwise the all-white
-    board).  budget=None runs the exhaustive rank-3 scan space and is
-    refused for r != 3.
+    board).  budget=None scans every board of the exhaustive rank-3 box and
+    is refused for r != 3 and for n outside 5 <= n <= RANK3_MAX_N; the best
+    board is then the first code reaching the maximum.
     """
     if r < 3:
         raise ValueError("search needs r >= 3")
     if n < r:
         raise ValueError("search needs n >= r")
-    boards: Iterable[Chessboard]
     if budget is None:
         if r != 3:
             raise ValueError("exhaustive board search is only feasible for r = 3")
-        total = 1 << (2 * (n - 1))
-        boards = (_board_from_code(n, code) for code in range(total))
-        tried = total
+        check_rank3_n(n)
+        tried = 1 << (2 * (n - 1))
+        best_value, best_code = -1, -1
+        for code in range(tried):
+            value = _min_class(_code_masks(n, code), n)[0]
+            if value > best_value:
+                best_value, best_code = value, code
+        best_board = _board_from_code(n, best_code)
     else:
         default = _theorem_board_for(r, n) or Chessboard.all_white(r, n)
         rng = random.Random(seed)
@@ -476,17 +503,12 @@ def search_small_topes(
             )
             for _ in range(budget)
         ]
-        boards = [default] + randoms
         tried = 1 + budget
-
-    best_value = -1
-    best_board: Chessboard | None = None
-    for board in boards:
-        value = min_interior(canonical_matrix(board))[0]
-        if value > best_value:
-            best_value = value
-            best_board = board
-    assert best_board is not None
+        best_value = -1
+        for board in [default] + randoms:
+            value = min_interior(canonical_matrix(board))[0]
+            if value > best_value:
+                best_value, best_board = value, board
     return ExplorationResult(
         label="exploration",
         r=r,

@@ -4,8 +4,10 @@ Everything here recomputes quantities from first principles (circuit signs
 of a chirotope, exhaustive staircase collection, Gale evenness, exact hull
 feasibility) without touching the travel or counting machinery under test.
 The reference class scan is the slow tuple-based loop that the travel
-kernel is checked against; the reference Radon functions are the Fraction
-cofactor loops that the chirotope table and the Gray-code max_r replaced.
+kernel is checked against; the reference rank-3 chunk is the per-board
+object path (on the public min_interior) that the mask-level board scan
+replaced; the reference Radon functions are the Fraction cofactor loops
+that the chirotope table and the Gray-code max_r replaced.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from lomlab.chessboard import Chessboard, corners_for
 from lomlab.exactlp import feasible_nonneg
 from lomlab.galerad import BLUE, RED, Coloring, PointConfig
 from lomlab.sign_matrix import SignMatrix
+from lomlab.travels import min_interior
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +285,94 @@ def reference_min_interior(matrix: SignMatrix, include_trivial: bool = True):
             if best[0] == 0:
                 break
     return best
+
+
+# ---------------------------------------------------------------------------
+# Reference rank-3 board scan: a Chessboard, a validated SignMatrix built
+# entry by entry and a Travel per board code, and the symmetry orbit by
+# unpacking the code into bit lists.  This is the per-board path that
+# lomlab.verifier._scan_chunk replaced with row masks and a bit-reversal
+# table, and that chessboard.canonical_row_masks replaced for every board.
+
+
+def reference_board_from_code(n: int, code: int) -> Chessboard:
+    width = n - 1
+    return Chessboard(
+        tuple(tuple(bool((code >> (i * width + j)) & 1) for j in range(width)) for i in range(2))
+    )
+
+
+def reference_canonical_matrix(board: Chessboard) -> SignMatrix:
+    """The canonical realization, entry by entry from the 2 x 2 parity rule."""
+    r, n = board.matrix_rows, board.matrix_cols
+    rows = [[1] * n]
+    for i in range(1, r):
+        row = [1]
+        for j in range(1, n):
+            parity = -1 if board.black[i - 1][j - 1] else 1
+            row.append(rows[i - 1][j - 1] * rows[i - 1][j] * row[j - 1] * parity)
+        rows.append(row)
+    return SignMatrix(tuple(tuple(row) for row in rows))
+
+
+def reference_code_transforms(n: int, code: int) -> tuple[int, ...]:
+    width = n - 1
+    top = [(code >> j) & 1 for j in range(width)]
+    bottom = [(code >> (width + j)) & 1 for j in range(width)]
+
+    def pack(rows) -> int:
+        value = 0
+        for i, row in enumerate(rows):
+            for j, bit in enumerate(row):
+                value |= bit << (i * width + j)
+        return value
+
+    lr = [list(reversed(top)), list(reversed(bottom))]
+    tb = [bottom, top]
+    both = [list(reversed(bottom)), list(reversed(top))]
+    return (code, pack(lr), pack(tb), pack(both))
+
+
+def reference_scan_chunk(args):
+    """The result tuple of verifier._scan_chunk, through the public API."""
+    n, start, stop, bound, prune = args
+    worst, worst_code, attain, exemplars, violations, evaluated = -1, -1, 0, [], [], 0
+    for code in range(start, stop):
+        weight = 1
+        if prune:
+            orbit = reference_code_transforms(n, code)
+            if code != min(orbit):
+                continue
+            weight = len(set(orbit))
+        evaluated += 1
+        value = min_interior(reference_canonical_matrix(reference_board_from_code(n, code)))[0]
+        if value > worst:
+            worst, worst_code = value, code
+        if value == bound:
+            attain += weight
+            if len(exemplars) < 8:
+                exemplars.append(code)
+        if value > bound:
+            violations.append(code)
+    return worst, worst_code, attain, exemplars, violations, evaluated
+
+
+def reference_theorem_board_for(r: int, n: int) -> Chessboard | None:
+    """The construction board for (r, n), each n-formula inverted by hand."""
+    if r == 3 and n >= 6:
+        return corners_for("dim2", 3, n - 6)
+    if r == 4 and n >= 8:
+        return corners_for("dim3", 4, n - 8)
+    if r >= 5:
+        if n == 2 * (r - 1) + -(-r // 2) + 1:
+            return corners_for("t1", r, 1)
+        if (n - 7) % (r - 3) == 0 and (n - 7) // (r - 3) >= 3:
+            return corners_for("general", r, (n - 7) // (r - 3) - 1)
+        if r % 2 == 1:
+            doubled = 2 * (n - r - 2)
+            if doubled % (r - 1) == 0 and doubled // (r - 1) >= 3:
+                return corners_for("even-d", r, doubled // (r - 1) - 1)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -225,3 +225,31 @@ def test_scan_smoke(tmp_path, capsys):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_verify_rank3_scan_refuses_bad_range_before_scanning(tmp_path, capsys, monkeypatch):
+    from lomlab import verifier
+
+    def scan_chunk(args):
+        raise AssertionError("a board was scanned before the whole range was checked")
+
+    monkeypatch.setattr(verifier, "_scan_chunk", scan_chunk)
+    out = tmp_path / "r"
+    code, _, stderr = run(
+        ["verify", "rank3-scan", "--n", "7..11", "--symmetry-prune", "--workers", "1",
+         "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert "usage error" in stderr and "got 11" in stderr
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_scan_exhaustive_refuses_n_outside_rank3_box(tmp_path, capsys):
+    out = tmp_path / "r"
+    code, _, stderr = run(
+        ["scan", "--r", "3", "--n", "12", "--exhaustive", "--out", str(out)], capsys
+    )
+    assert code == 2
+    assert "5 <= n <= 10" in stderr
+    assert not out.exists()

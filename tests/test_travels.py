@@ -345,6 +345,31 @@ def test_scan_kernel_matches_reference_on_every_rank3_n7_board():
         assert _kernel_scan(matrix, True) == list(reference_scan(matrix, True)), code
 
 
+def test_interleaved_scans_keep_their_own_state():
+    # each scan owns its stack and its tops list: stepping two scans in
+    # turn, and dropping a third midway, changes neither's output
+    from lomlab.chessboard import realize_sequence
+
+    a = realize_sequence(4, 9, (2, 4, 2))
+    b = realize_sequence(5, 11, (2, 4, 2, 2))
+    expect_a, expect_b = list(scan_classes(a)), list(scan_classes(b))
+    abandoned = scan_classes(b)
+    scan_b = scan_classes(b)
+    got_a, got_b, partial = [], [], []
+    for item in scan_classes(a):
+        got_a.append(item)
+        step = next(scan_b, None)
+        if step is not None:
+            got_b.append(step)
+        if len(partial) < 7:
+            partial.append(next(abandoned))
+    del abandoned
+    got_b.extend(scan_b)
+    assert got_a == expect_a
+    assert got_b == expect_b
+    assert partial == expect_b[:7]
+
+
 def test_min_interior_witness_revalidates():
     from lomlab.chessboard import realize_sequence
 

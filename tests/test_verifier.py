@@ -179,7 +179,7 @@ def test_rank3_scan_range_check():
     with pytest.raises(ValueError):
         exhaustive_rank3_scan(4)
     with pytest.raises(ValueError):
-        exhaustive_rank3_scan(10)
+        exhaustive_rank3_scan(11)
 
 
 def test_search_budget_zero_returns_theorem_board():
@@ -196,9 +196,19 @@ def test_search_budget_zero_without_theorem_board():
 
 
 def test_search_exhaustive_rank3():
+    from lomlab.travels import min_interior
+
+    from oracles import reference_board_from_code
+
     result = search_small_topes(3, 6, budget=None)
     assert result.best_value == 1
     assert result.boards_tried == 2 ** 10
+    values = [
+        min_interior(canonical_matrix(reference_board_from_code(6, code)))[0]
+        for code in range(1 << 10)
+    ]
+    first_best = values.index(max(values))
+    assert result.best_board == reference_board_from_code(6, first_best)
 
 
 def test_search_is_seed_deterministic():
@@ -213,6 +223,9 @@ def test_search_validation():
         search_small_topes(2, 6)
     with pytest.raises(ValueError):
         search_small_topes(4, 8, budget=None)
+    for n in (4, 11, 12):  # outside the rank-3 scan box, refused before any board
+        with pytest.raises(ValueError, match="5 <= n <= 10"):
+            search_small_topes(3, n, budget=None)
 
 
 def test_exploration_report_text():
@@ -220,3 +233,62 @@ def test_exploration_report_text():
     text = result.to_text()
     assert "label: exploration" in text
     assert "best_value: 1" in text
+
+
+def test_code_masks_match_canonical_matrix_rows():
+    from lomlab.travels import _row_masks
+    from lomlab.verifier import _board_from_code, _code_masks
+
+    from oracles import reference_board_from_code, reference_canonical_matrix
+
+    for n in range(5, 9):
+        for code in range(1 << (2 * (n - 1))):
+            matrix = canonical_matrix(_board_from_code(n, code))
+            assert matrix == reference_canonical_matrix(reference_board_from_code(n, code))
+            assert _code_masks(n, code) == _row_masks(matrix.rows), (n, code)
+
+
+def test_code_orbit_matches_reference_transforms():
+    from lomlab.verifier import _bit_reversals, _code_orbit
+
+    from oracles import reference_code_transforms
+
+    for n in range(5, 9):
+        rev = _bit_reversals(n - 1)
+        for code in range(1 << (2 * (n - 1))):
+            orbit = _code_orbit(code, n - 1, rev)
+            reference = reference_code_transforms(n, code)
+            assert orbit == reference, (n, code)
+            assert (min(orbit), len(set(orbit))) == (min(reference), len(set(reference)))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("prune", [False, True])
+def test_scan_chunk_matches_public_path(n, prune):
+    from lomlab.verifier import _scan_chunk
+
+    from oracles import reference_scan_chunk
+
+    total = 1 << (2 * (n - 1))
+    for start, stop in ((0, total), (total // 3, total // 2)):
+        args = (n, start, stop, n - 5, prune)
+        assert _scan_chunk(args) == reference_scan_chunk(args)
+
+
+def test_theorem_board_table_matches_hand_inversion():
+    from lomlab.verifier import _theorem_board_for
+
+    from oracles import reference_theorem_board_for
+
+    for r in range(3, 10):
+        for n in range(3, 61):
+            board, reference = _theorem_board_for(r, n), reference_theorem_board_for(r, n)
+            if reference is None:
+                assert board is None, (r, n)
+            else:
+                assert board is not None, (r, n)
+                assert (board.black, board.sequence, board.corners) == (
+                    reference.black,
+                    reference.sequence,
+                    reference.corners,
+                ), (r, n)
