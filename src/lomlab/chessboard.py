@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .sign_matrix import SignMatrix
-from .travels import bottom_travel, top_travel
 
 THEOREM_IDS = ("dim2", "dim3", "general", "t1", "even-d")
 
@@ -310,33 +309,3 @@ def corners_for(theorem_id: str, r: int, t: int) -> Chessboard:
     board = board_from_sequence(r, n, seq)
     return Chessboard(board.black, sequence=seq, corners=h + (n,))
 
-
-def parallel_rule_check(matrix: SignMatrix) -> bool:
-    """Check the forced interplay of the two travels across column pairs.
-
-    Whenever exactly one black square sits between the rows where the top
-    and bottom travels cross from column j to column j+1, one travel moves
-    straight through while the other turns: the product of the blackness
-    parities between the crossing rows telescopes to the product of the two
-    travels' adjacent-entry signs.  Returns True when no column pair
-    violates the rule; a False return means a bug in the travel code.
-    """
-    if matrix.r < 2 or matrix.n < 2:
-        return True
-    rows = matrix.rows
-    board = board_of(matrix)
-    tt = top_travel(matrix)
-    bt = bottom_travel(matrix)
-    for j in range(1, matrix.n):
-        ti = tt.crossing_row(j)
-        bi = bt.crossing_row(j)
-        if ti is None or bi is None or bi <= ti:
-            continue
-        blacks = sum(1 for i in range(ti, bi) if board.black[i - 1][j - 1])
-        if blacks != 1:
-            continue
-        top_straight = rows[ti - 1][j - 1] == rows[ti - 1][j]
-        bottom_turns = rows[bi - 1][j - 1] != rows[bi - 1][j]
-        if top_straight != bottom_turns:
-            return False
-    return True

@@ -42,12 +42,24 @@ Every class scan goes through one kernel, ``_scan``: a single generator
 frame that walks the drop columns depth first on an explicit stack, over
 int-bitmask rows.  ``scan_classes`` runs it on a matrix and ``_min_class``
 on raw row masks, which is how the rank-3 board scan reaches it without
-building a matrix per board.  Each class's top travel is its prescribed
-plain travel, so only the bottom travel is walked (``_interior_mask``, one
-``int.bit_length`` step per segment on the rows' turn masks), and criterion
-(c) becomes one AND per row of the two travels' masks of columns strictly
-inside a segment.  No table is kept per (r, n): a scan's state is its stack
-and one list of top-travel masks, set on descent and cleared on backtrack.
+building a matrix per board.  ``_min_class`` takes a stop threshold,
+`floor`: it returns the first class whose count is below it, so a count
+below `floor` only bounds the minimum and a count at or above it is exact
+(the default, 1, stops at a class with no interior element).  Each class's
+top travel is its prescribed plain travel, so only the bottom travel is
+walked (in ``_close``, one ``int.bit_length`` step per segment on the
+rows' turn masks), and criterion (c) becomes one AND per row of the two
+travels' masks of columns strictly inside a segment.  No table is kept per
+(r, n): a scan's state is its stack and one list of top-travel masks, set
+on descent and cleared on backtrack.
+
+Two helpers make up every class: ``_drop_step`` adds one top-travel
+segment ending in a drop, and ``_close`` adds the last segment and walks
+the bottom travel.  ``_scan`` shares the drop steps of a prefix among the
+classes below it; ``_class_of`` evaluates a single class, one
+``_drop_step`` per drop and then ``_close``.
+``reorientation_for_pt`` and ``interior_elements`` are built on it, and the
+rank-3 board scan uses it to try a known witness class before scanning.
 """
 
 from __future__ import annotations
@@ -129,13 +141,6 @@ class Travel:
         """Drop columns followed by the end column."""
         return self.drop_columns + (self.end_col,)
 
-    def crossing_row(self, j: int) -> int | None:
-        """Row in which the walk moves between columns j and j+1, if it does."""
-        for row, a, b in self.segments:
-            if min(a, b) <= j and j + 1 <= max(a, b):
-                return row
-        return None
-
     def to_text(self) -> str:
         return ";".join(f"{row}:{a}-{b}" for row, a, b in self.segments)
 
@@ -213,8 +218,8 @@ def _is_acyclic(rows: Rows) -> bool:
 # The class-scan kernel.  Rows are int bitmasks, bit j set when the entry in
 # column j + 1 is -1, so reorienting a column set is one xor per row.  A
 # travel segment running from 0-based column a to column b is summarized by
-# the mask of the columns strictly inside it: the columns k whose neighbours
-# k - 1 and k + 1 the segment covers too.
+# the mask of the columns strictly inside it, ``((1 << b) - 1) & (-2 << a)``:
+# the columns k whose neighbours k - 1 and k + 1 the segment covers too.
 
 
 def _row_masks(rows: Rows) -> list[int]:
@@ -226,11 +231,6 @@ def _columns(mask: int) -> frozenset[int]:
     return frozenset(j + 1 for j in range(mask.bit_length()) if (mask >> j) & 1)
 
 
-def _inside(a: int, b: int) -> int:
-    """Mask of the columns strictly between 0-based columns a <= b."""
-    return ((1 << b) - 1) & (-2 << a)
-
-
 def _drop_step(row: int, below: int, a: int, b: int, pivot: int) -> tuple[int, int, int]:
     """One top-travel segment along `row`, from column a to a drop at b.
 
@@ -238,7 +238,7 @@ def _drop_step(row: int, below: int, a: int, b: int, pivot: int) -> tuple[int, i
     columns to flip so the walk stays level up to b and drops at b, the
     entry bit it carries into the row below, and the segment's inside mask.
     """
-    inside = ((1 << b) - 1) & (-2 << a)  # _inside(a, b), inlined
+    inside = ((1 << b) - 1) & (-2 << a)
     drop = ((row >> b) ^ pivot ^ 1) & 1
     flips = ((row ^ -pivot) & inside) | drop << b
     return flips, ((below >> b) & 1) ^ drop, inside
@@ -253,27 +253,45 @@ def _turn_masks(masks: Sequence[int]) -> list[int]:
     return [mask ^ (mask >> 1) for mask in masks]
 
 
-def _interior_mask(turns: Sequence[int], flip_turns: int, tops: Sequence[int], n: int) -> int:
-    """Column 1 and the middle interior columns of an acyclic matrix.
+def _close(
+    masks: Sequence[int],
+    turns: Sequence[int],
+    tops: list[int],
+    n: int,
+    k: int,
+    a: int,
+    pivot: int,
+    flips: int,
+) -> tuple[int, int]:
+    """(flips, interior) of the class whose top travel ends along row k.
 
-    The matrix has turn masks `turns` (see ``_turn_masks``), reoriented by
-    the column mask `flips`, which enters as ``flip_turns = flips ^ (flips
-    >> 1)``.  tops[i + 1] is the inside mask of its top travel in row i (0
-    for rows the top travel misses, and tops[0] == 0).  The bottom travel
-    is walked here, one step per segment: walking left from column j, it
-    rises at the nearest turn left of j, the highest set bit of a masked
-    xor.  Column n is left to the caller, since the top travel alone
-    decides it.
+    The travel enters row k at column a with entry bit `pivot`, `flips`
+    covers the columns up to a, and tops[i + 1] is the inside mask of its
+    segment in row i for i < k (0 for rows it misses, and tops[0] == 0).
+    Its last segment, from column a to column n, is closed here and set in
+    tops[k + 1]; a travel whose last drop is at column n closes with an
+    empty one.  `turns` are the rows' turn masks (see ``_turn_masks``),
+    which the reorientation enters as ``flips ^ (flips >> 1)``.
+
+    The bottom travel is then walked, one step per segment: walking left
+    from column j, it rises at the nearest turn left of j, the highest set
+    bit of a masked xor.  Column n is interior when the top travel runs
+    along row r through columns n - 1 and n.
     """
-    i, j, out = len(turns) - 1, n - 1, 0
+    inside = ((1 << n) - 1) & (-2 << a)
+    tops[k + 1] = inside
+    flips |= (masks[k] ^ -pivot) & inside
+    flip_turns = flips ^ (flips >> 1)
+    i, j = len(masks) - 1, n - 1
+    out = 1 << j if k == i and a < j else 0
     while True:
         left = (1 << j) - 1
         off = (turns[i] ^ flip_turns) & left
         # parallel at k: bottom row i against top row i or top row i - 1;
-        # the bottom segment's inside mask is _inside(rise, j), inlined, with
+        # the bottom segment's inside mask runs from rise to j, with
         # rise = 0 when the walk runs out to column 1
         if not off:
-            return out | (left & -2 & (tops[i] | tops[i + 1])) | (i == 0 and j > 0)
+            return flips, out | (left & -2 & (tops[i] | tops[i + 1])) | (i == 0 and j > 0)
         rise = off.bit_length() - 1
         out |= left & (-2 << rise) & (tops[i] | tops[i + 1])
         i, j = i - 1, rise
@@ -301,34 +319,37 @@ def _scan(
     # A node is a drop prefix: the top travel enters row k = len(drops) at
     # column a with entry bit `pivot`, `flips` covers the columns up to a,
     # and `inside` is the inside mask of the segment that dropped into row
-    # k.  A node with children is popped twice: first to push itself back,
-    # `opened`, above its children, then to close once they are done.
+    # k.  A node whose children have children is popped twice: first to
+    # push itself back, `opened`, above its children, then to close once
+    # they are done.  The children of a node at k = max_drops - 1 are
+    # leaves, one class each, so that node closes them in a loop, in column
+    # order, and then itself; no leaf goes on the stack.
     stack = [((), 0, 0, masks[0] & 1, 0, 0, False)]
     while stack:
         drops, k, a, pivot, flips, inside, opened = stack.pop()
         if not opened:
             tops[k] = inside
             if k < max_drops:
-                stack.append((drops, k, a, pivot, flips, inside, True))
                 row, below_row = masks[k], masks[k + 1]
-                for b in range(last - 1, a, -1):
-                    step, below, inside = _drop_step(row, below_row, a, b, pivot)
-                    stack.append((drops + (b + 1,), k + 1, b, below, flips | step, inside, False))
-                continue
+                if k + 1 < max_drops:
+                    stack.append((drops, k, a, pivot, flips, inside, True))
+                    for b in range(last - 1, a, -1):
+                        step, below, inside = _drop_step(row, below_row, a, b, pivot)
+                        stack.append((drops + (b + 1,), k + 1, b, below, flips | step, inside, False))
+                    continue
+                for b in range(a + 1, last):
+                    step, below, tops[k + 1] = _drop_step(row, below_row, a, b, pivot)
+                    closed, interior = _close(masks, turns, tops, n, k + 1, b, below, flips | step)
+                    yield drops + (b + 1,), closed, interior
+                tops[k + 2] = 0
         if drops or include_trivial:
-            # the last segment runs along row k from column a to column n
-            inside = ((1 << n) - 1) & (-2 << a)  # _inside(a, n), inlined
-            tops[k + 1] = inside
-            closed = flips | ((masks[k] ^ -pivot) & inside)
-            interior = _interior_mask(turns, closed ^ (closed >> 1), tops, n)
-            if k == r - 1 and a < last:
-                interior |= 1 << last
+            closed, interior = _close(masks, turns, tops, n, k, a, pivot, flips)
             yield drops, closed, interior
         if k < max_drops:
             # the child dropping at column n: its last segment is empty
-            step, _, tops[k + 1] = _drop_step(masks[k], masks[k + 1], a, last, pivot)
-            closed = flips | step
-            yield drops + (n,), closed, _interior_mask(turns, closed ^ (closed >> 1), tops, n)
+            step, below, tops[k + 1] = _drop_step(masks[k], masks[k + 1], a, last, pivot)
+            closed, interior = _close(masks, turns, tops, n, k + 1, last, below, flips | step)
+            yield drops + (n,), closed, interior
         tops[k + 1] = 0
 
 
@@ -346,19 +367,38 @@ def scan_classes(
     return _scan(_row_masks(matrix.rows), matrix.n, include_trivial)
 
 
+def _class_of(masks: Sequence[int], n: int, drops: Sequence[int]) -> tuple[int, int]:
+    """(flips, interior) of the one class whose plain travel drops at `drops`.
+
+    The same segment steps as a ``_scan`` path down to that class: one
+    ``_drop_step`` per drop, then ``_close``.  `drops` are 1-indexed,
+    strictly increasing in [2, n] and at most r - 1 of them; they are not
+    checked here.
+    """
+    tops = [0] * (len(masks) + 1)
+    k, a, pivot, flips = 0, 0, masks[0] & 1, 0
+    for drop in drops:
+        step, pivot, tops[k + 1] = _drop_step(masks[k], masks[k + 1], a, drop - 1, pivot)
+        k, a, flips = k + 1, drop - 1, flips | step
+    return _close(masks, _turn_masks(masks), tops, n, k, a, pivot, flips)
+
+
 def _min_class(
-    masks: Sequence[int], n: int, include_trivial: bool = True
+    masks: Sequence[int], n: int, include_trivial: bool = True, floor: int = 1
 ) -> tuple[int, tuple[int, ...]]:
     """Least interior count over the classes and the first drops reaching it.
 
-    The scan stops at the first class with no interior element.
+    The scan stops at the first class whose count is below `floor` and
+    returns that class, so a count below `floor` only bounds the minimum;
+    a count at or above `floor` is the exact minimum.  The default floor
+    of 1 stops at a class with no interior element, which is exact too.
     """
     best, best_drops = n + 1, None
     for drops, _, interior in _scan(masks, n, include_trivial):
         count = interior.bit_count()
         if count < best:
-            if count == 0:
-                return 0, drops
+            if count < floor:
+                return count, drops
             best, best_drops = count, drops
     if best_drops is None:
         raise ValueError(
@@ -393,18 +433,14 @@ def interior_elements(matrix: SignMatrix) -> frozenset[int]:
     Raises CyclicMatroidError on cyclic input: interior elements are defined
     only for acyclic matrices.
     """
-    rows = matrix.rows
-    segments = _top_segments(rows)
-    row, a, b = segments[-1]
+    segments = _top_segments(matrix.rows)
+    row, _, b = segments[-1]
     if row == matrix.r and b < matrix.n:
         raise CyclicMatroidError("interior elements are defined only for acyclic matrices")
-    tops = [0] * (matrix.r + 1)
-    for i, lo, hi in segments:
-        tops[i] = _inside(lo - 1, hi - 1)
-    interior = _interior_mask(_turn_masks(_row_masks(rows)), 0, tops, matrix.n)
-    if row == matrix.r and a < matrix.n:
-        interior |= 1 << (matrix.n - 1)
-    return _columns(interior)
+    # the matrix's own top travel is the plain travel of its class, reached
+    # with no flips
+    drops = tuple(seg[2] for seg in segments[:-1])
+    return _columns(_class_of(_row_masks(matrix.rows), matrix.n, drops)[1])
 
 
 def plain_travel(r: int, n: int, drops: Sequence[int]) -> Travel:
@@ -495,13 +531,8 @@ def reorientation_for_pt(matrix: SignMatrix, travel: Travel) -> frozenset[int]:
     from plain travels to acyclic reorientation classes is a bijection
     (checked in the tests).
     """
-    masks = _row_masks(matrix.rows)
-    k, a, pivot, flips = 0, 0, masks[0] & 1, 0
-    for drop in _travel_drops(matrix, travel):
-        step, pivot, _ = _drop_step(masks[k], masks[k + 1], a, drop - 1, pivot)
-        k, a, flips = k + 1, drop - 1, flips | step
-    flips |= (masks[k] ^ -pivot) & _inside(a, matrix.n)
-    return _columns(flips)
+    drops = _travel_drops(matrix, travel)
+    return _columns(_class_of(_row_masks(matrix.rows), matrix.n, drops)[0])
 
 
 def min_interior(matrix: SignMatrix, include_trivial: bool = True) -> tuple[int, Travel]:

@@ -27,6 +27,7 @@ from .chessboard import (
 from .sign_matrix import SignMatrix, reorient
 from .travels import (
     Travel,
+    _class_of,
     _min_class,
     enumerate_plain_travels,  # noqa: F401  (perfbench/spans.py wraps it here)
     interior_elements,
@@ -283,7 +284,12 @@ def reproduce_counterexample(which: str) -> VerificationReport:
 # Exhaustive rank-3 board scan.
 
 
-RANK3_MAX_N = 10
+RANK3_MAX_N = 13
+# Codes per rank-3 scan task, whatever the worker count: a task's result
+# depends only on its code range, so the report does not depend on
+# --workers, and many small tasks keep the workers evenly loaded although
+# the symmetry-pruned representatives crowd into the low codes.
+CHUNK_CODES = 1 << 12
 
 
 def check_rank3_n(n: int) -> None:
@@ -328,6 +334,19 @@ def _code_orbit(code: int, width: int, rev: Sequence[int]) -> tuple[int, int, in
 
 
 def _scan_chunk(args: tuple[int, int, int, int, bool]) -> tuple:
+    """Scan the boards with codes in [start, stop) against `bound`.
+
+    Returns (worst, worst_code, attain, exemplars, violations, evaluated):
+    the largest board minimum and the first code reaching it, the orbit
+    weight of the boards whose minimum equals the bound and the first 8 of
+    them, the boards above it, and the number of boards scanned.
+
+    A board whose minimum lies below both the bound and the worst value so
+    far changes none of these, so one class below that floor settles it.
+    The class that settled the previous such board is tried first, then a
+    scan that stops at the first class below the floor; a board at or
+    above the floor gets its exact minimum from the same scan.
+    """
     n, start, stop, bound, prune = args
     rev = _bit_reversals(n - 1) if prune else []
     worst = -1
@@ -336,6 +355,7 @@ def _scan_chunk(args: tuple[int, int, int, int, bool]) -> tuple:
     violations: list[int] = []
     exemplars: list[int] = []
     evaluated = 0
+    hint = None
     for code in range(start, stop):
         weight = 1
         if prune:
@@ -344,7 +364,14 @@ def _scan_chunk(args: tuple[int, int, int, int, bool]) -> tuple:
                 continue
             weight = len(set(orbit))
         evaluated += 1
-        value = _min_class(_code_masks(n, code), n)[0]
+        masks = _code_masks(n, code)
+        floor = min(bound, worst + 1)
+        if hint is not None and _class_of(masks, n, hint)[1].bit_count() < floor:
+            continue
+        value, drops = _min_class(masks, n, True, floor)
+        if value < floor:
+            hint = drops
+            continue
         if value > worst:
             worst, worst_code = value, code
         if value == bound:
@@ -361,19 +388,20 @@ def exhaustive_rank3_scan(
 ) -> VerificationReport:
     """Scan every 2 x (n-1) board and check min interior <= n - 5.
 
-    Supported for 5 <= n <= 10.  With symmetry_prune, only the smallest code
-    of each orbit under left-right mirroring and top-bottom flipping is
-    evaluated (both flips preserve the per-board minimum; the scan verdict
-    and attainment counts are unchanged, which the tests cross-check).
+    Supported for 5 <= n <= RANK3_MAX_N.  With symmetry_prune, only the
+    smallest code of each orbit under left-right mirroring and top-bottom
+    flipping is evaluated (both flips preserve the per-board minimum; the
+    scan verdict and attainment counts are unchanged, which the tests
+    cross-check).  The codes are cut into tasks of CHUNK_CODES codes, merged
+    in code order, so the report is the same for every worker count.
     """
     check_rank3_n(n)
     start_time = time.perf_counter()
     total = 1 << (2 * (n - 1))
     bound = n - 5
-    chunk = max(1024, total // max(workers, 1))
     tasks = [
-        (n, lo, min(lo + chunk, total), bound, symmetry_prune)
-        for lo in range(0, total, chunk)
+        (n, lo, min(lo + CHUNK_CODES, total), bound, symmetry_prune)
+        for lo in range(0, total, CHUNK_CODES)
     ]
     results = _map_instances(_scan_chunk, tasks, workers)
 
@@ -485,11 +513,9 @@ def search_small_topes(
             raise ValueError("exhaustive board search is only feasible for r = 3")
         check_rank3_n(n)
         tried = 1 << (2 * (n - 1))
-        best_value, best_code = -1, -1
-        for code in range(tried):
-            value = _min_class(_code_masks(n, code), n)[0]
-            if value > best_value:
-                best_value, best_code = value, code
+        # with a bound above n no board reaches it, so the chunk scan's
+        # floor is the best value so far plus one
+        best_value, best_code = _scan_chunk((n, 0, tried, n + 1, False))[:2]
         best_board = _board_from_code(n, best_code)
     else:
         default = _theorem_board_for(r, n) or Chessboard.all_white(r, n)

@@ -7,20 +7,23 @@ The reference class scan is the slow tuple-based loop that the travel
 kernel is checked against; the reference rank-3 chunk is the per-board
 object path (on the public min_interior) that the mask-level board scan
 replaced; the reference Radon functions are the Fraction cofactor loops
-that the chirotope table and the Gray-code max_r replaced.
+that the chirotope table and the Gray-code max_r replaced.  The travel
+interplay rule (``parallel_rule_check``) is a consistency check that only
+the tests run on the top and bottom walks.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
-from lomlab.chessboard import Chessboard, corners_for
+from lomlab.chessboard import Chessboard, board_of, corners_for
 from lomlab.exactlp import feasible_nonneg
 from lomlab.galerad import BLUE, RED, Coloring, PointConfig
 from lomlab.sign_matrix import SignMatrix
-from lomlab.travels import min_interior
+from lomlab.travels import Travel, bottom_travel, min_interior, top_travel
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +291,50 @@ def reference_min_interior(matrix: SignMatrix, include_trivial: bool = True):
 
 
 # ---------------------------------------------------------------------------
+# The travel interplay rule, a consistency check on the top and bottom walks
+# of lomlab.travels (formerly chessboard.parallel_rule_check).
+
+
+def crossing_row(travel: Travel, j: int) -> int | None:
+    """Row in which the walk moves between columns j and j+1, if it does."""
+    for row, a, b in travel.segments:
+        if min(a, b) <= j and j + 1 <= max(a, b):
+            return row
+    return None
+
+
+def parallel_rule_check(matrix: SignMatrix) -> bool:
+    """Check the forced interplay of the two travels across column pairs.
+
+    Whenever exactly one black square sits between the rows where the top
+    and bottom travels cross from column j to column j+1, one travel moves
+    straight through while the other turns: the product of the blackness
+    parities between the crossing rows telescopes to the product of the two
+    travels' adjacent-entry signs.  Returns True when no column pair
+    violates the rule; a False return means a bug in the travel code.
+    """
+    if matrix.r < 2 or matrix.n < 2:
+        return True
+    rows = matrix.rows
+    board = board_of(matrix)
+    tt = top_travel(matrix)
+    bt = bottom_travel(matrix)
+    for j in range(1, matrix.n):
+        ti = crossing_row(tt, j)
+        bi = crossing_row(bt, j)
+        if ti is None or bi is None or bi <= ti:
+            continue
+        blacks = sum(1 for i in range(ti, bi) if board.black[i - 1][j - 1])
+        if blacks != 1:
+            continue
+        top_straight = rows[ti - 1][j - 1] == rows[ti - 1][j]
+        bottom_turns = rows[bi - 1][j - 1] != rows[bi - 1][j]
+        if top_straight != bottom_turns:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # Reference rank-3 board scan: a Chessboard, a validated SignMatrix built
 # entry by entry and a Travel per board code, and the symmetry orbit by
 # unpacking the code into bit lists.  This is the per-board path that
@@ -333,6 +380,13 @@ def reference_code_transforms(n: int, code: int) -> tuple[int, ...]:
     return (code, pack(lr), pack(tb), pack(both))
 
 
+@lru_cache(maxsize=None)
+def reference_board_minimum(n: int, code: int) -> int:
+    """Minimum interior count of a board, through the public min_interior;
+    cached, since the tests scan the same boards against many bounds."""
+    return min_interior(reference_canonical_matrix(reference_board_from_code(n, code)))[0]
+
+
 def reference_scan_chunk(args):
     """The result tuple of verifier._scan_chunk, through the public API."""
     n, start, stop, bound, prune = args
@@ -345,7 +399,7 @@ def reference_scan_chunk(args):
                 continue
             weight = len(set(orbit))
         evaluated += 1
-        value = min_interior(reference_canonical_matrix(reference_board_from_code(n, code)))[0]
+        value = reference_board_minimum(n, code)
         if value > worst:
             worst, worst_code = value, code
         if value == bound:

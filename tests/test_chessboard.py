@@ -11,13 +11,12 @@ from lomlab.chessboard import (
     board_of,
     canonical_matrix,
     corners_for,
-    parallel_rule_check,
     realize_sequence,
 )
 from lomlab.sign_matrix import SignMatrix, reorient
 from lomlab.travels import min_interior
 
-from oracles import random_sign_matrix
+from oracles import parallel_rule_check, random_sign_matrix
 
 
 def all_sequences(r, n):

@@ -235,21 +235,25 @@ def test_verify_rank3_scan_refuses_bad_range_before_scanning(tmp_path, capsys, m
 
     monkeypatch.setattr(verifier, "_scan_chunk", scan_chunk)
     out = tmp_path / "r"
+    beyond = verifier.RANK3_MAX_N + 1
     code, _, stderr = run(
-        ["verify", "rank3-scan", "--n", "7..11", "--symmetry-prune", "--workers", "1",
+        ["verify", "rank3-scan", "--n", f"7..{beyond}", "--symmetry-prune", "--workers", "1",
          "--out", str(out)],
         capsys,
     )
     assert code == 2
-    assert "usage error" in stderr and "got 11" in stderr
+    assert "usage error" in stderr and f"got {beyond}" in stderr
     assert not out.exists() or not any(out.iterdir())
 
 
 def test_scan_exhaustive_refuses_n_outside_rank3_box(tmp_path, capsys):
+    from lomlab.verifier import RANK3_MAX_N
+
     out = tmp_path / "r"
     code, _, stderr = run(
-        ["scan", "--r", "3", "--n", "12", "--exhaustive", "--out", str(out)], capsys
+        ["scan", "--r", "3", "--n", str(RANK3_MAX_N + 1), "--exhaustive", "--out", str(out)],
+        capsys,
     )
     assert code == 2
-    assert "5 <= n <= 10" in stderr
+    assert f"5 <= n <= {RANK3_MAX_N}" in stderr
     assert not out.exists()

@@ -409,3 +409,44 @@ def test_breakpoints_end_at_n(r, pick):
     assert t.breakpoints[-1] == n
     assert 2 <= t.breakpoints[0] <= n
     assert 1 < len(t.segments) <= r
+
+
+def _classes_match_single_class_evaluator(matrix):
+    from lomlab.travels import _class_of, _row_masks, _scan
+
+    masks = _row_masks(matrix.rows)
+    for drops, flips, interior in _scan(masks, matrix.n, True):
+        assert _class_of(masks, matrix.n, drops) == (flips, interior), (matrix, drops)
+
+
+def test_single_class_evaluator_matches_scan_on_every_rank3_n6_board():
+    from lomlab.chessboard import canonical_matrix
+    from lomlab.verifier import _board_from_code
+
+    for code in range(1 << 10):
+        _classes_match_single_class_evaluator(canonical_matrix(_board_from_code(6, code)))
+
+
+@given(sign_matrices(ranks=(1, 7), max_n=10))
+@settings(max_examples=150, deadline=None)
+def test_single_class_evaluator_matches_scan(matrix):
+    _classes_match_single_class_evaluator(matrix)
+
+
+def test_min_class_floor_on_every_rank3_n7_board():
+    # below the floor: some class below it, exactly when the minimum is;
+    # otherwise the exact minimum and its first witness
+    from lomlab.travels import _class_of, _min_class
+    from lomlab.verifier import _code_masks
+
+    n = 7
+    for code in range(1 << 12):
+        masks = _code_masks(n, code)
+        exact = _min_class(masks, n, True, 0)
+        for floor in range(n + 1):
+            count, drops = _min_class(masks, n, True, floor)
+            if exact[0] < floor:
+                assert count < floor, (code, floor)
+                assert _class_of(masks, n, drops)[1].bit_count() == count, (code, floor)
+            else:
+                assert (count, drops) == exact, (code, floor)

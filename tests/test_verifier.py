@@ -59,12 +59,15 @@ def test_pool_size_is_clamped_to_tasks_and_affinity(monkeypatch):
     assert verifier._pool_size(-7, 0) == 1
 
 
-def test_map_instances_starts_only_the_clamped_pool(monkeypatch):
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Stand in for the process pool: run the tasks in this process and
+    record the pool size each pool is started with."""
     from lomlab import verifier
 
     started = []
 
-    class FakePool:
+    class SerialPool:
         def __init__(self, max_workers):
             started.append(max_workers)
 
@@ -77,8 +80,15 @@ def test_map_instances_starts_only_the_clamped_pool(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", SerialPool)
+    return started
+
+
+def test_map_instances_starts_only_the_clamped_pool(monkeypatch, serial_pool):
+    from lomlab import verifier
+
+    started = serial_pool
     monkeypatch.setattr(verifier.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(verifier, "ProcessPoolExecutor", FakePool)
     assert verifier._map_instances(abs, [-1, -2, -3], workers=5000) == [1, 2, 3]
     assert started == [2]
     assert verifier._map_instances(abs, [-4], workers=5000) == [4]
@@ -175,11 +185,28 @@ def test_rank3_scan_workers_match():
     assert seq.parameters["attain_bound"] == par.parameters["attain_bound"]
 
 
+def test_rank3_scan_report_is_the_same_for_every_worker_count(monkeypatch, serial_pool):
+    # 16 tasks of 256 codes: each worker count gives the one-task report,
+    # so no scan state crosses a chunk boundary
+    from lomlab import verifier
+
+    expected = {prune: exhaustive_rank3_scan(7, prune).to_text() for prune in (False, True)}
+    monkeypatch.setattr(verifier.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(verifier, "CHUNK_CODES", 256)
+    for prune in (False, True):
+        for workers in (1, 2, 3):
+            report = exhaustive_rank3_scan(7, prune, workers=workers)
+            assert report.to_text() == expected[prune], (prune, workers)
+    assert serial_pool == [2, 3, 2, 3]
+
+
 def test_rank3_scan_range_check():
+    from lomlab.verifier import RANK3_MAX_N
+
     with pytest.raises(ValueError):
         exhaustive_rank3_scan(4)
     with pytest.raises(ValueError):
-        exhaustive_rank3_scan(11)
+        exhaustive_rank3_scan(RANK3_MAX_N + 1)
 
 
 def test_search_budget_zero_returns_theorem_board():
@@ -196,19 +223,15 @@ def test_search_budget_zero_without_theorem_board():
 
 
 def test_search_exhaustive_rank3():
-    from lomlab.travels import min_interior
+    from oracles import reference_board_from_code, reference_board_minimum
 
-    from oracles import reference_board_from_code
-
-    result = search_small_topes(3, 6, budget=None)
-    assert result.best_value == 1
-    assert result.boards_tried == 2 ** 10
-    values = [
-        min_interior(canonical_matrix(reference_board_from_code(6, code)))[0]
-        for code in range(1 << 10)
-    ]
-    first_best = values.index(max(values))
-    assert result.best_board == reference_board_from_code(6, first_best)
+    for n, best in ((6, 1), (7, 2)):
+        result = search_small_topes(3, n, budget=None)
+        assert result.best_value == best
+        assert result.boards_tried == 4 ** (n - 1)
+        values = [reference_board_minimum(n, code) for code in range(4 ** (n - 1))]
+        first_best = values.index(max(values))
+        assert result.best_board == reference_board_from_code(n, first_best)
 
 
 def test_search_is_seed_deterministic():
@@ -223,8 +246,11 @@ def test_search_validation():
         search_small_topes(2, 6)
     with pytest.raises(ValueError):
         search_small_topes(4, 8, budget=None)
-    for n in (4, 11, 12):  # outside the rank-3 scan box, refused before any board
-        with pytest.raises(ValueError, match="5 <= n <= 10"):
+    from lomlab.verifier import RANK3_MAX_N
+
+    # outside the rank-3 scan box, refused before any board
+    for n in (4, RANK3_MAX_N + 1, RANK3_MAX_N + 2):
+        with pytest.raises(ValueError, match=f"5 <= n <= {RANK3_MAX_N}"):
             search_small_topes(3, n, budget=None)
 
 
@@ -269,10 +295,14 @@ def test_scan_chunk_matches_public_path(n, prune):
 
     from oracles import reference_scan_chunk
 
+    # every bound from 0 to n: below n - 5 most boards reach it, above the
+    # largest minimum none does and the worst value comes from the floor
+    # alone
     total = 1 << (2 * (n - 1))
     for start, stop in ((0, total), (total // 3, total // 2)):
-        args = (n, start, stop, n - 5, prune)
-        assert _scan_chunk(args) == reference_scan_chunk(args)
+        for bound in range(n + 1):
+            args = (n, start, stop, bound, prune)
+            assert _scan_chunk(args) == reference_scan_chunk(args), (start, bound)
 
 
 def test_theorem_board_table_matches_hand_inversion():
