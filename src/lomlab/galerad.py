@@ -15,6 +15,9 @@ covered by tests against independent oracles:
   * a set of d + 2 points in general position has exactly one minimal Radon
     partition, read off the sign classes of its unique affine dependence,
     whose k-th cofactor sign is (-1)^k chi(subset minus its k-th point);
+  * the same cofactors, as integers times the lcm scales, are that
+    dependence itself (Cramer's rule), so the Gale transform reads the
+    values of the one determinant routine, _det, not just their signs;
   * a red/blue coloring induces that partition exactly when its color
     classes match the sign classes up to swapping the two colors, one mask
     comparison per subset;
@@ -68,8 +71,8 @@ class PointFormatError(ValueError):
     """Malformed point or coloring text."""
 
 
-def _det_sign(rows: list[list[int]]) -> int:
-    """Sign of an integer determinant, by Bareiss fraction-free elimination."""
+def _det(rows: list[list[int]]) -> int:
+    """Exact integer determinant, by Bareiss fraction-free elimination."""
     mat = [row[:] for row in rows]
     size = len(mat)
     sign, prev = 1, 1
@@ -86,8 +89,7 @@ def _det_sign(rows: list[list[int]]) -> int:
             for j in range(k + 1, size):
                 row[j] = (row[j] * pivot - lead * top[j]) // prev
         prev = pivot
-    last = mat[-1][-1]
-    return sign * ((last > 0) - (last < 0))
+    return sign * mat[-1][-1]
 
 
 def _lifted_rows(points: Iterable[Vector]) -> list[list[int]]:
@@ -102,38 +104,6 @@ def _lifted_rows(points: Iterable[Vector]) -> list[list[int]]:
 def _bits(indices: Iterable[int]) -> int:
     """Bitmask of distinct 0-based point indices."""
     return sum(1 << i for i in indices)
-
-
-def _null_space(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right null space, by reduced row echelon form."""
-    if not rows:
-        return []
-    m, n = len(rows), len(rows[0])
-    mat = [row[:] for row in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(n):
-        pivot_row = next((i for i in range(rank, m) if mat[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        pivot = mat[rank][col]
-        mat[rank] = [v / pivot for v in mat[rank]]
-        for i in range(m):
-            if i != rank and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * n
-        vec[f] = Fraction(1)
-        for row_idx, p in enumerate(pivots):
-            vec[p] = -mat[row_idx][f]
-        basis.append(vec)
-    return basis
 
 
 def _as_fraction(value) -> Fraction:
@@ -168,10 +138,10 @@ class PointConfig:
         rows = _lifted_rows(self.points)
         table = {}
         for subset in combinations(range(self.n), self.dim + 1):
-            sign = _det_sign([rows[i] for i in subset])
-            if sign == 0:
+            det = _det([rows[i] for i in subset])
+            if det == 0:
                 raise GeneralPositionError(tuple(i + 1 for i in subset))
-            table[_bits(subset)] = sign
+            table[_bits(subset)] = 1 if det > 0 else -1
         object.__setattr__(self, "chirotope", table)
 
     @property
@@ -284,20 +254,25 @@ class GaleTransform:
 def gale_transform(config: PointConfig) -> GaleTransform:
     """Dual vectors from an exact basis of the affine dependences.
 
-    Needs n >= d + 2 and a full affine span.  Each basis dependence alpha
-    satisfies sum(alpha_i * x_i) = 0 and sum(alpha_i) = 0 exactly; this is
-    re-verified before returning.
+    Needs n >= d + 2.  General position makes the first d + 1 points
+    affinely independent, so each later point f has one dependence on them
+    and f with alpha_f = 1: by Cramer's rule, alpha_s is proportional to
+    (-1)^k det(lifted rows without s_k) * L_s for s = s_k of (1..d+1, f),
+    with L_s the point's lcm scale.  Each basis dependence satisfies
+    sum(alpha_i * x_i) = 0 and sum(alpha_i) = 0; this is re-verified.
     """
     n, d = config.n, config.dim
     if n < d + 2:
         raise DegenerateSpanError(f"need n >= d + 2 for a Gale transform, got n={n} d={d}")
-    rows = [[config.points[j][i] for j in range(n)] for i in range(d)]
-    rows.append([Fraction(1)] * n)
-    basis = _null_space(rows)
-    if len(basis) != n - d - 1:
-        raise DegenerateSpanError(
-            f"points span an affine subspace of dimension < {d}"
-        )
+    rows = _lifted_rows(config.points)
+    basis = []
+    for f in range(d + 1, n):
+        subset = tuple(range(d + 1)) + (f,)
+        alpha = [0] * n
+        for k, s in enumerate(subset):
+            minor = _det([rows[i] for i in subset if i != s])
+            alpha[s] = (-1) ** k * minor * rows[s][0]
+        basis.append([Fraction(a, alpha[f]) for a in alpha])
     for alpha in basis:
         if sum(alpha) != 0:
             raise AssertionError("dependence basis violates sum(alpha) = 0")

@@ -4,9 +4,10 @@ A travel is a monotone staircase walk over matrix positions.  The top travel
 starts at a[1][1] and moves right while consecutive entries in the row agree;
 at the first disagreement it takes the flipped entry and drops one row in
 that column.  In the bottom row there is nowhere left to drop, so the walk
-stops just before a flip.  The bottom travel is the mirror image: it starts
-at a[r][n], moves left and rises at flips, stopping before a flip once it
-reaches row 1.  Both walks are unique for a given matrix.
+stops just before a flip.  The bottom travel is the mirror image, the top
+travel of the matrix turned by 180 degrees, and is computed that way: it
+starts at a[r][n], moves left and rises at flips, stopping before a flip
+once it reaches row 1.  Both walks are unique for a given matrix.
 
 The matroid encoded by the matrix is cyclic exactly when the top travel ends
 in row r strictly before column n (equivalently, when the bottom travel ends
@@ -187,25 +188,11 @@ def _top_segments(rows: Rows) -> tuple[tuple[int, int, int], ...]:
 
 
 def _bottom_segments(rows: Rows) -> tuple[tuple[int, int, int], ...]:
-    r = len(rows)
-    n = len(rows[0])
-    i, j = r - 1, n - 1
-    segments = []
-    while True:
-        row = rows[i]
-        pivot = row[j]
-        start = j
-        while j - 1 >= 0 and row[j - 1] == pivot:
-            j -= 1
-        if j == 0:
-            segments.append((i + 1, start + 1, 1))
-            return tuple(segments)
-        if i == 0:
-            segments.append((i + 1, start + 1, j + 1))
-            return tuple(segments)
-        segments.append((i + 1, start + 1, j))
-        i -= 1
-        j -= 1
+    """The bottom walk is the top walk of the matrix turned by 180 degrees,
+    mapped back: row i to r + 1 - i and column c to n + 1 - c."""
+    r, n = len(rows), len(rows[0])
+    turned = tuple(row[::-1] for row in rows[::-1])
+    return tuple((r + 1 - i, n + 1 - a, n + 1 - b) for i, a, b in _top_segments(turned))
 
 
 def _is_acyclic(rows: Rows) -> bool:

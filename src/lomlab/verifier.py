@@ -18,6 +18,7 @@ from typing import Sequence
 
 from .chessboard import (
     CONSTRUCTION_N,
+    THEOREM_IDS,
     Chessboard,
     board_from_sequence,
     canonical_matrix,
@@ -383,6 +384,26 @@ def _scan_chunk(args: tuple[int, int, int, int, bool]) -> tuple:
     return worst, worst_code, attain, exemplars, violations, evaluated
 
 
+def _rank3_scan(n: int, bound: int, prune: bool, workers: int) -> tuple:
+    """Every 2 x (n-1) board in tasks of CHUNK_CODES codes, merged in code
+    order: the ``_scan_chunk`` tuple of the whole code range, with at most
+    8 exemplars.  The result does not depend on `workers`."""
+    total = 1 << (2 * (n - 1))
+    tasks = [
+        (n, lo, min(lo + CHUNK_CODES, total), bound, prune)
+        for lo in range(0, total, CHUNK_CODES)
+    ]
+    worst, worst_code, attain, exemplars, violations, evaluated = -1, -1, 0, [], [], 0
+    for w, wc, a, ex, vi, ev in _map_instances(_scan_chunk, tasks, workers):
+        if w > worst:
+            worst, worst_code = w, wc
+        attain += a
+        exemplars.extend(ex)
+        violations.extend(vi)
+        evaluated += ev
+    return worst, worst_code, attain, exemplars[:8], violations, evaluated
+
+
 def exhaustive_rank3_scan(
     n: int, symmetry_prune: bool = False, workers: int = 1
 ) -> VerificationReport:
@@ -399,21 +420,9 @@ def exhaustive_rank3_scan(
     start_time = time.perf_counter()
     total = 1 << (2 * (n - 1))
     bound = n - 5
-    tasks = [
-        (n, lo, min(lo + CHUNK_CODES, total), bound, symmetry_prune)
-        for lo in range(0, total, CHUNK_CODES)
-    ]
-    results = _map_instances(_scan_chunk, tasks, workers)
-
-    worst, worst_code, attain, exemplars, violations, evaluated = -1, -1, 0, [], [], 0
-    for w, wc, a, ex, vi, ev in results:
-        if w > worst:
-            worst, worst_code = w, wc
-        attain += a
-        exemplars.extend(ex)
-        violations.extend(vi)
-        evaluated += ev
-    exemplars = exemplars[:8]
+    worst, worst_code, attain, exemplars, violations, evaluated = _rank3_scan(
+        n, bound, symmetry_prune, workers
+    )
 
     witnesses = []
     for code in ([worst_code] if worst_code >= 0 else []) + violations[:8]:
@@ -482,7 +491,7 @@ class ExplorationResult:
 
 def _theorem_board_for(r: int, n: int) -> Chessboard | None:
     """The named construction of rank r with n columns, if there is one."""
-    for theorem_id in ("dim2", "dim3", "t1", "general", "even-d"):
+    for theorem_id in THEOREM_IDS:
         n_of = CONSTRUCTION_N[theorem_id]
         for t in range(n):  # every construction has n > t
             if n_of(r, t) == n:
@@ -501,8 +510,9 @@ def search_small_topes(
     budget counts random boards tried beyond the default candidates (the
     matching named construction when one exists, otherwise the all-white
     board).  budget=None scans every board of the exhaustive rank-3 box and
-    is refused for r != 3 and for n outside 5 <= n <= RANK3_MAX_N; the best
-    board is then the first code reaching the maximum.
+    is refused for r != 3 and for n outside 5 <= n <= RANK3_MAX_N; it runs
+    the symmetry-pruned tasks of exhaustive_rank3_scan on every available
+    CPU, and the best board is the first code reaching the maximum.
     """
     if r < 3:
         raise ValueError("search needs r >= 3")
@@ -514,8 +524,10 @@ def search_small_topes(
         check_rank3_n(n)
         tried = 1 << (2 * (n - 1))
         # with a bound above n no board reaches it, so the chunk scan's
-        # floor is the best value so far plus one
-        best_value, best_code = _scan_chunk((n, 0, tried, n + 1, False))[:2]
+        # floor is the best value so far plus one; the first code with the
+        # maximum is the least of its orbit, since both flips keep the
+        # minimum, so the pruned scan finds it
+        best_value, best_code = _rank3_scan(n, n + 1, True, available_cpus())[:2]
         best_board = _board_from_code(n, best_code)
     else:
         default = _theorem_board_for(r, n) or Chessboard.all_white(r, n)

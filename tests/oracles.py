@@ -9,7 +9,10 @@ object path (on the public min_interior) that the mask-level board scan
 replaced; the reference Radon functions are the Fraction cofactor loops
 that the chirotope table and the Gray-code max_r replaced.  The travel
 interplay rule (``parallel_rule_check``) is a consistency check that only
-the tests run on the top and bottom walks.
+the tests run on the top and bottom walks.  The reference Gale transform is
+the Fraction RREF null space that the integer minors replaced, and the
+reference bottom walk is the leftward walk that the rotated top walk
+replaced.
 """
 
 from __future__ import annotations
@@ -456,6 +459,48 @@ def reference_det(rows: list[list[Fraction]]) -> Fraction:
                 for j in range(col, size):
                     mat[i][j] -= factor * mat[col][j]
     return det
+
+
+def reference_null_space(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Basis of the right null space, by reduced row echelon form."""
+    if not rows:
+        return []
+    m, n = len(rows), len(rows[0])
+    mat = [row[:] for row in rows]
+    pivots: list[int] = []
+    rank = 0
+    for col in range(n):
+        pivot_row = next((i for i in range(rank, m) if mat[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
+        pivot = mat[rank][col]
+        mat[rank] = [v / pivot for v in mat[rank]]
+        for i in range(m):
+            if i != rank and mat[i][col] != 0:
+                factor = mat[i][col]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rank])]
+        pivots.append(col)
+        rank += 1
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * n
+        vec[f] = Fraction(1)
+        for row_idx, p in enumerate(pivots):
+            vec[p] = -mat[row_idx][f]
+        basis.append(vec)
+    return basis
+
+
+def reference_gale_transform(config: PointConfig):
+    """(vectors, dependences) from the RREF null space of the coordinate
+    rows plus a row of ones: one dependence per free column."""
+    n = config.n
+    rows = [[p[i] for p in config.points] for i in range(config.dim)] + [[Fraction(1)] * n]
+    basis = reference_null_space(rows)
+    vectors = tuple(tuple(alpha[j] for alpha in basis) for j in range(n))
+    return vectors, tuple(tuple(alpha) for alpha in basis)
 
 
 def _lifted(points, labels):

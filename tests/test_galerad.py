@@ -24,7 +24,6 @@ from lomlab.galerad import (
     max_r_sampled,
     random_point_config,
 )
-from lomlab.galerad import _null_space
 
 from oracles import (
     config_chi,
@@ -36,9 +35,11 @@ from oracles import (
     reference_count_induced,
     reference_dependent_subset,
     reference_det as _det,
+    reference_gale_transform,
     reference_is_radon_pair,
     reference_max_r,
     reference_max_r_sampled,
+    reference_null_space,
     zero_in_hull,
 )
 
@@ -367,7 +368,7 @@ def test_null_space_matches_determinant_rank():
         [Fraction(2), Fraction(4), Fraction(6), Fraction(8)],
         [Fraction(0), Fraction(1), Fraction(0), Fraction(1)],
     ]
-    basis = _null_space(rows)
+    basis = reference_null_space(rows)
     assert len(basis) == 2
     for vec in basis:
         for row in rows:
@@ -393,10 +394,10 @@ def _coordinate(rng, fractional, bound):
 
 
 @st.composite
-def configs(draw, max_extra=4):
-    """General-position configurations, d 1-3 and n from d + 2 to d + 2 +
-    max_extra, with integer or fractional coordinates."""
-    d = draw(st.integers(1, 3))
+def configs(draw, max_extra=4, max_dim=3):
+    """General-position configurations, d 1 to max_dim and n from d + 2 to
+    d + 2 + max_extra, with integer or fractional coordinates."""
+    d = draw(st.integers(1, max_dim))
     n = draw(st.integers(d + 2, d + 2 + max_extra))
     fractional = draw(st.booleans())
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
@@ -444,6 +445,14 @@ def test_general_position_error_names_first_dependent_subset(d, extra, fractiona
         with pytest.raises(GeneralPositionError) as info:
             PointConfig(d, points)
         assert info.value.subset == expected
+
+
+@given(configs(max_extra=6, max_dim=4))
+@settings(max_examples=60, deadline=None)
+def test_gale_transform_matches_rref_reference(config):
+    # Fraction is canonical, so equal values print equal text
+    transform = gale_transform(config)
+    assert (transform.vectors, transform.dependences) == reference_gale_transform(config)
 
 
 @given(configs(), st.integers(0, 2**32 - 1))

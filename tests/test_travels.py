@@ -24,6 +24,7 @@ from lomlab.travels import (
 )
 
 from oracles import (
+    _bottom_segments,
     all_sign_matrices,
     collect_top_travel_shapes,
     matrix_interior,
@@ -84,6 +85,19 @@ def test_bottom_travel_is_top_travel_of_rotated_matrix():
             (a.r + 1 - row, a.n + 1 - c0, a.n + 1 - c1) for row, c0, c1 in tt_rot.segments
         )
         assert bt.segments == mapped
+
+
+def test_bottom_travel_matches_leftward_walk():
+    # every matrix with r * n <= 12, then random ones up to 8 x 16
+    for r in range(1, 4):
+        for n in range(r, 12 // r + 1):
+            for a in all_sign_matrices(r, n):
+                assert bottom_travel(a).segments == _bottom_segments(a.rows)
+    rng = random.Random(23)
+    for _ in range(2000):
+        r = rng.randint(1, 8)
+        a = random_sign_matrix(rng, r, rng.randint(r, 16))
+        assert bottom_travel(a).segments == _bottom_segments(a.rows)
 
 
 # ---------------------------------------------------------------------------

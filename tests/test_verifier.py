@@ -234,6 +234,25 @@ def test_search_exhaustive_rank3():
         assert result.best_board == reference_board_from_code(n, first_best)
 
 
+def test_search_exhaustive_rank3_runs_the_pruned_chunk_tasks(monkeypatch, serial_pool):
+    from lomlab import verifier
+    from oracles import reference_board_from_code, reference_board_minimum
+
+    # n = 8 is 4 tasks, so the search starts a pool of the available CPUs
+    monkeypatch.setattr(verifier.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    tasks = []
+    scan_chunk = verifier._scan_chunk
+    monkeypatch.setattr(verifier, "_scan_chunk", lambda args: tasks.append(args) or scan_chunk(args))
+    result = search_small_topes(3, 8, budget=None)
+    assert serial_pool == [2]
+    step = verifier.CHUNK_CODES
+    assert tasks == [(8, lo, lo + step, 9, True) for lo in range(0, 4**7, step)]
+    assert result.boards_tried == 4**7
+    values = [reference_board_minimum(8, code) for code in range(4**7)]
+    assert result.best_value == max(values) == 3
+    assert result.best_board == reference_board_from_code(8, values.index(max(values)))
+
+
 def test_search_is_seed_deterministic():
     a = search_small_topes(4, 8, budget=30, seed=5)
     b = search_small_topes(4, 8, budget=30, seed=5)
