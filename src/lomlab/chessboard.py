@@ -20,7 +20,7 @@ together with a corner function h: the m-th corner is the matrix position
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .sign_matrix import SignMatrix
 
@@ -53,21 +53,9 @@ class Chessboard:
             self._check_corners()
 
     def _check_sequence(self) -> None:
-        seq = self.sequence
-        assert seq is not None
-        if len(seq) != self.rows:
-            raise ValueError(f"sequence needs {self.rows} terms, got {len(seq)}")
-        if any(x < 1 for x in seq):
-            raise ValueError("sequence terms must be positive")
-        if sum(seq) > self.cols:
-            raise ValueError(f"sequence {seq} does not fit in {self.cols} columns")
-        acc = 0
-        for i, x in enumerate(seq, start=1):
-            for j in range(1, self.cols + 1):
-                want = acc + 1 <= j <= acc + x
-                if self.black[i - 1][j - 1] != want:
-                    raise ValueError(f"board does not match sequence {seq} at s({i},{j})")
-            acc += x
+        assert self.sequence is not None
+        if _sequence_black(self.matrix_rows, self.matrix_cols, self.sequence) != self.black:
+            raise ValueError(f"board does not match sequence {self.sequence}")
 
     def _check_corners(self) -> None:
         h = self.corners
@@ -118,10 +106,6 @@ class Chessboard:
     def all_white(cls, r: int, n: int) -> "Chessboard":
         return cls(tuple((False,) * (n - 1) for _ in range(r - 1)))
 
-    @classmethod
-    def from_bitmap(cls, bitmap: Iterable[Iterable[bool]]) -> "Chessboard":
-        return cls(tuple(tuple(bool(v) for v in row) for row in bitmap))
-
     def mirror_lr(self) -> "Chessboard":
         return Chessboard(tuple(tuple(reversed(row)) for row in self.black))
 
@@ -171,9 +155,8 @@ def board_of(matrix: SignMatrix) -> Chessboard:
     )
 
 
-def board_from_sequence(r: int, n: int, sequence: Sequence[int]) -> Chessboard:
-    """Board with black runs per the sequence; the rest stays white."""
-    seq = tuple(sequence)
+def _sequence_black(r: int, n: int, seq: tuple[int, ...]) -> tuple[tuple[bool, ...], ...]:
+    """Squares of the r x n matrix's board with black runs per the sequence."""
     if r < 2:
         raise ValueError("sequence boards need r >= 2")
     if len(seq) != r - 1:
@@ -188,7 +171,13 @@ def board_from_sequence(r: int, n: int, sequence: Sequence[int]) -> Chessboard:
         for j in range(acc, acc + x):
             black[i][j] = True
         acc += x
-    return Chessboard(tuple(tuple(row) for row in black), sequence=seq)
+    return tuple(tuple(row) for row in black)
+
+
+def board_from_sequence(r: int, n: int, sequence: Sequence[int]) -> Chessboard:
+    """Board with black runs per the sequence; the rest stays white."""
+    seq = tuple(sequence)
+    return Chessboard(_sequence_black(r, n, seq), sequence=seq)
 
 
 def _prefix_xor(bits: int, width: int) -> int:
@@ -306,6 +295,5 @@ def corners_for(theorem_id: str, r: int, t: int) -> Chessboard:
         raise ValueError(f"unknown construction {theorem_id!r}, want one of {THEOREM_IDS}")
     n = CONSTRUCTION_N[theorem_id](r, t)
     assert sum(seq) == n - 1, "constructions are one-black-per-column boards"
-    board = board_from_sequence(r, n, seq)
-    return Chessboard(board.black, sequence=seq, corners=h + (n,))
+    return Chessboard(_sequence_black(r, n, seq), sequence=seq, corners=h + (n,))
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from . import galerad
 from . import verifier
-from .chessboard import THEOREM_IDS, board_of
+from .chessboard import THEOREM_IDS, board_of, canonical_matrix, corners_for
 from .sign_matrix import MatrixFormatError, SignMatrix, reorient
 from .travels import bottom_travel, interior_elements, is_acyclic, top_travel
 
@@ -111,8 +111,6 @@ def _append_report(out_dir: Path, name: str, text: str) -> Path:
 
 
 def _emit_fixtures(args, report: verifier.VerificationReport, out_dir: Path) -> None:
-    from .chessboard import canonical_matrix, corners_for
-
     if args.theorem not in THEOREM_IDS:
         return
     for witness in report.witnesses:
@@ -161,7 +159,6 @@ def _cmd_verify(args) -> int:
     name = f"verify-{args.theorem}-{_param_hash(hash_parts)}.txt"
     body = f"seed: {args.seed}\n" + "".join(r.to_text() for r in reports)
     path = _append_report(args.out, name, body)
-    args.out.mkdir(parents=True, exist_ok=True)
     for report in reports:
         _emit_fixtures(args, report, args.out)
         print(report.summary())

@@ -64,9 +64,6 @@ class SignMatrix:
     def constant(cls, r: int, n: int, sign: int = 1) -> "SignMatrix":
         return cls(tuple((sign,) * n for _ in range(r)))
 
-    def reorient(self, cols: Iterable[int]) -> "SignMatrix":
-        return reorient(self, cols)
-
     def rotate180(self) -> "SignMatrix":
         """The matrix turned upside down (rows and columns both reversed)."""
         return SignMatrix(tuple(tuple(reversed(row)) for row in reversed(self.rows)))

@@ -41,18 +41,21 @@ reorientation class.
 
 Every class scan goes through one kernel, ``_scan``: a single generator
 frame that walks the drop columns depth first on an explicit stack, over
-int-bitmask rows.  ``scan_classes`` runs it on a matrix and ``_min_class``
-on raw row masks, which is how the rank-3 board scan reaches it without
-building a matrix per board.  ``_min_class`` takes a stop threshold,
-`floor`: it returns the first class whose count is below it, so a count
-below `floor` only bounds the minimum and a count at or above it is exact
-(the default, 1, stops at a class with no interior element).  Each class's
-top travel is its prescribed plain travel, so only the bottom travel is
-walked (in ``_close``, one ``int.bit_length`` step per segment on the
-rows' turn masks), and criterion (c) becomes one AND per row of the two
-travels' masks of columns strictly inside a segment.  No table is kept per
-(r, n): a scan's state is its stack and one list of top-travel masks, set
-on descent and cleared on backtrack.
+int-bitmask rows.  Its walk is the one definition of the class order, the
+lexicographic order of breakpoints (drop columns, then n), and
+``enumerate_plain_travels`` is the kernel run on the all-plus matrix.
+``scan_classes`` runs it on a matrix and ``_min_class`` on raw row masks,
+which is how the rank-3 board scan reaches it without building a matrix
+per board.  ``_min_class`` takes a stop threshold, `floor`: it returns the
+first class whose count is below it, so a count below `floor` only bounds
+the minimum and a count at or above it is exact (the default, 1, stops at
+a class with no interior element).  Each class's top travel is its
+prescribed plain travel, so only the bottom travel is walked (in
+``_close``, one ``int.bit_length`` step per segment on the rows' turn
+masks), and criterion (c) becomes one AND per row of the two travels'
+masks of columns strictly inside a segment.  No table is kept per (r, n):
+a scan's state is its stack and one list of top-travel masks, set on
+descent and cleared on backtrack.
 
 Two helpers make up every class: ``_drop_step`` adds one top-travel
 segment ending in a drop, and ``_close`` adds the last segment and walks
@@ -290,13 +293,14 @@ def _scan(
     """The class-scan kernel: (drops, flips, interior) per acyclic class.
 
     `masks` are the matrix rows as bitmasks.  The drop prefixes are walked
-    depth first on an explicit stack, in ``_drop_sets`` order: a node's
-    children (drops at columns 2 .. n - 1) come first, then the class whose
-    last segment runs to column n, then the child dropping at n.  Each drop
-    extends the parent's flips by one travel segment, so classes sharing a
-    prefix share its work.  tops[k + 1] holds the inside mask of the top
-    travel in row k; it is set on descent and cleared on backtrack, so
-    every class reads the one list.
+    depth first on an explicit stack, and this walk defines the class
+    order, the lexicographic order of breakpoints: a node's children (drops
+    at columns 2 .. n - 1) come first, then the class whose last segment
+    runs to column n, then the child dropping at n.  Each drop extends the
+    parent's flips by one travel segment, so classes sharing a prefix share
+    its work.  tops[k + 1] holds the inside mask of the top travel in row
+    k; it is set on descent and cleared on backtrack, so every class reads
+    the one list.
     """
     r = len(masks)
     max_drops = min(r - 1, n - 1)
@@ -345,11 +349,12 @@ def scan_classes(
 ) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Stream (drops, flips, interior) over the acyclic reorientation classes.
 
-    Classes come in ``_drop_sets`` order, so the first class with a given
-    interior count is the lexicographically least witness.  `drops` are
-    the 1-indexed drop columns of the class's plain travel; `flips` and
-    `interior` are column bitmasks (bit j for column j + 1), the canonical
-    reorientation and the interior set of the reoriented matrix.
+    Classes come in the kernel's order, the lexicographic order of
+    breakpoints, so the first class with a given interior count is the
+    lexicographically least witness.  `drops` are the 1-indexed drop
+    columns of the class's plain travel; `flips` and `interior` are column
+    bitmasks (bit j for column j + 1), the canonical reorientation and the
+    interior set of the reoriented matrix.
     """
     return _scan(_row_masks(matrix.rows), matrix.n, include_trivial)
 
@@ -462,31 +467,17 @@ def trivial_travel(r: int, n: int) -> Travel:
     return plain_travel(r, n, ())
 
 
-def _drop_sets(r: int, n: int, include_trivial: bool) -> Iterator[tuple[int, ...]]:
-    # Emits drop tuples in lexicographic order of breakpoints (drops + end n).
-    max_drops = min(r - 1, n - 1)
-
-    def rec(prefix: tuple[int, ...], last: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) < max_drops:
-            for m in range(last + 1, n):
-                yield from rec(prefix + (m,), m)
-        if prefix or include_trivial:
-            yield prefix
-        if len(prefix) < max_drops:
-            yield prefix + (n,)
-
-    yield from rec((), 1)
-
-
 def enumerate_plain_travels(r: int, n: int, include_trivial: bool = False) -> Iterator[Travel]:
     """Stream every plain travel for an r x n matrix exactly once.
 
     Travels are emitted in lexicographic order of their breakpoint
-    sequences.  The shapes depend only on (r, n).  With include_trivial the
-    degenerate one-segment shape is emitted in its lexicographic position,
-    so a scan over the stream covers every acyclic reorientation class.
+    sequences, the order of the class-scan kernel: these are the classes of
+    the all-plus matrix.  The shapes depend only on (r, n).  With
+    include_trivial the degenerate one-segment shape is emitted in its
+    lexicographic position, so a scan over the stream covers every acyclic
+    reorientation class.
     """
-    for drops in _drop_sets(r, n, include_trivial):
+    for drops, _, _ in _scan([0] * r, n, include_trivial):
         yield plain_travel(r, n, drops)
 
 

@@ -88,9 +88,9 @@ class VerificationReport:
             f"({self.instances_checked} instances, {self.wall_time:.2f}s)"
         )
 
-    def to_text(self, include_timing: bool = False) -> str:
-        """Stable-keyed block; timing is left out by default so identical
-        runs serialize byte-identically."""
+    def to_text(self) -> str:
+        """Stable-keyed block; timing is left out so identical runs
+        serialize byte-identically."""
         lines = [
             "report: lomlab-verification-v1",
             f"theorem: {self.theorem_id}",
@@ -102,8 +102,6 @@ class VerificationReport:
         lines.append(f"required_bound: {_fmt_opt(self.required_bound)}")
         lines.extend(w.to_line() for w in self.witnesses)
         lines.append(f"verdict: {self.verdict}")
-        if include_timing:
-            lines.append(f"wall_time: {self.wall_time:.3f}")
         lines.append("end: lomlab-verification-v1")
         return "\n".join(lines) + "\n"
 
@@ -136,24 +134,16 @@ def _instance_box(
     t_values: Sequence[int] | None,
     r_values: Sequence[int] | None,
 ) -> list[tuple[str, int, int]]:
-    if theorem_id in ("dim2", "dim3"):
-        if not t_values:
-            raise ValueError(f"{theorem_id} needs a t range")
-        fixed_r = 3 if theorem_id == "dim2" else 4
-        if r_values and list(r_values) != [fixed_r]:
-            raise ValueError(f"{theorem_id} fixes r = {fixed_r}")
-        return [(theorem_id, fixed_r, t) for t in t_values]
-    if theorem_id == "t1":
-        if not r_values:
-            raise ValueError("t1 needs an r range")
-        if t_values and any(t != 1 for t in t_values):
-            raise ValueError("t1 is the t = 1 family")
-        return [(theorem_id, r, 1) for r in r_values]
-    if theorem_id in ("general", "even-d"):
-        if not t_values or not r_values:
-            raise ValueError(f"{theorem_id} needs both r and t ranges")
-        return [(theorem_id, r, t) for r in r_values for t in t_values]
-    raise ValueError(f"unknown theorem id {theorem_id!r}")
+    """The r x t box of a construction, r-major, with the parameter a family
+    fixes filled in; ``corners_for`` alone decides which (r, t) it accepts."""
+    if theorem_id not in THEOREM_IDS:
+        raise ValueError(f"unknown theorem id {theorem_id!r}")
+    r_values = r_values or {"dim2": [3], "dim3": [4]}.get(theorem_id)
+    t_values = t_values or {"t1": [1]}.get(theorem_id)
+    for what, values in (("an r range", r_values), ("a t range", t_values)):
+        if not values:
+            raise ValueError(f"{theorem_id} needs {what}")
+    return [(theorem_id, r, t) for r in r_values for t in t_values]
 
 
 def _check_lower_instance(instance: tuple[str, int, int]) -> Witness:

@@ -78,6 +78,13 @@ def test_realize_sequence_contract():
         realize_sequence(3, 8, (0, 3))
 
 
+def test_sequence_annotation_must_draw_the_board():
+    board = board_from_sequence(4, 8, (2, 3, 2))
+    assert Chessboard(board.black, sequence=(2, 3, 2)) == board
+    with pytest.raises(ValueError, match="does not match"):
+        Chessboard(board.black, sequence=(3, 2, 2))  # fits, draws other squares
+
+
 def test_realize_sequence_unrolled_example():
     board = board_of(realize_sequence(4, 8, (2, 3, 2)))
     blacks = {(i, j) for i in range(1, 4) for j in range(1, 8) if board.is_black(i, j)}

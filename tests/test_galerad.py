@@ -36,9 +36,9 @@ from oracles import (
     reference_dependent_subset,
     reference_det as _det,
     reference_gale_transform,
-    reference_is_radon_pair,
     reference_max_r,
     reference_max_r_sampled,
+    reference_minimal_partition,
     reference_null_space,
     zero_in_hull,
 )
@@ -458,12 +458,21 @@ def test_gale_transform_matches_rref_reference(config):
 @given(configs(), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_radon_pair_and_count_match_reference(config, seed):
+    # the Fraction cofactor partition of each (d+2)-subset, once per
+    # configuration; a subset is induced when its red and blue points are
+    # the two sides of the partition
+    partitions = {
+        subset: reference_minimal_partition(config, subset)
+        for subset in combinations(range(1, config.n + 1), config.dim + 2)
+    }
     for coloring in _colorings(config, seed, 4):
-        assert count_induced(config, coloring) == reference_count_induced(config, coloring)
-        for subset in combinations(range(1, config.n + 1), config.dim + 2):
-            assert is_radon_pair(config, subset, coloring) == reference_is_radon_pair(
-                config, subset, coloring
-            )
+        count = 0
+        for subset, (pos, neg) in partitions.items():
+            reds = coloring.red & frozenset(subset)
+            induced = (reds, frozenset(subset) - reds) in ((pos, neg), (neg, pos))
+            assert is_radon_pair(config, subset, coloring) == induced
+            count += induced
+        assert count_induced(config, coloring) == count
 
 
 @given(configs())

@@ -30,6 +30,7 @@ from oracles import (
     matrix_interior,
     matrix_is_acyclic,
     random_sign_matrix,
+    reference_drop_sets,
     reference_min_interior,
     reference_scan,
 )
@@ -191,6 +192,13 @@ def test_enumeration_is_lexicographic_and_duplicate_free():
     keys = [t.breakpoints for t in enumerate_plain_travels(4, 6, include_trivial=True)]
     assert keys == sorted(keys)
     assert len(keys) == len(set(keys))
+    # the kernel's walk on the all-plus matrix defines the class order; the
+    # reference sorts every drop subset by its breakpoints, r > n included
+    for r in range(1, 8):
+        for n in range(1, 11):
+            for inc in (False, True):
+                drops = [t.drop_columns for t in enumerate_plain_travels(r, n, inc)]
+                assert drops == reference_drop_sets(r, n, inc), (r, n, inc)
 
 
 def test_plain_travels_match_exhaustive_shape_collection():

@@ -34,11 +34,24 @@ def test_verify_witnesses_revalidate():
         assert len(interior) == witness.observed
 
 
-def test_verify_parameter_validation():
+def test_verify_parameter_validation(monkeypatch):
+    from lomlab import verifier
+
+    def no_scan(*args):
+        raise AssertionError("scan started")
+
+    # every refusal comes before any scan
+    monkeypatch.setattr(verifier, "_map_instances", no_scan)
+    with pytest.raises(ValueError, match="r = 3"):
+        verify_lower("dim2", r_values=[4], t_values=[0])
+    with pytest.raises(ValueError, match="r = 4"):
+        verify_lower("dim3", r_values=[5], t_values=[0])
     with pytest.raises(ValueError):
         verify_lower("dim2", t_values=[-1, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="a t range"):
         verify_lower("dim2")
+    with pytest.raises(ValueError, match="an r range"):
+        verify_lower("general", t_values=[2])
     with pytest.raises(ValueError):
         verify_lower("general", t_values=[2], r_values=[4])
     with pytest.raises(ValueError):
