@@ -12,7 +12,9 @@ interplay rule (``parallel_rule_check``) is a consistency check that only
 the tests run on the top and bottom walks.  The reference Gale transform is
 the Fraction RREF null space that the integer minors replaced, and the
 reference bottom walk is the leftward walk that the rotated top walk
-replaced.
+replaced.  ``reference_feasible_nonneg`` is the Fraction-tableau phase-1
+simplex that exactlp's fraction-free integer rows replaced; the hull tests
+and ``reference_separating_functional`` run on it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from functools import lru_cache
 from itertools import combinations
 
 from lomlab.chessboard import Chessboard, board_of, corners_for
-from lomlab.exactlp import feasible_nonneg
 from lomlab.galerad import BLUE, RED, Coloring, PointConfig
 from lomlab.sign_matrix import SignMatrix
 from lomlab.travels import Travel, bottom_travel, min_interior, top_travel
@@ -528,13 +529,6 @@ def reference_minimal_partition(config: PointConfig, subset):
     return frozenset(positive), frozenset(negative)
 
 
-def reference_is_radon_pair(config: PointConfig, subset, coloring: Coloring) -> bool:
-    sub = tuple(sorted(subset))
-    pos, neg = reference_minimal_partition(config, sub)
-    reds = frozenset(i for i in sub if coloring.color(i) == RED)
-    return (reds, frozenset(sub) - reds) in ((pos, neg), (neg, pos))
-
-
 def _reference_splits(config: PointConfig):
     return [
         (frozenset(sub), reference_minimal_partition(config, sub)[0])
@@ -588,6 +582,108 @@ def reference_max_r_sampled(config: PointConfig, samples: int, seed: int):
 
 
 # ---------------------------------------------------------------------------
+# Reference phase-1 simplex: a Fraction tableau with Bland's rule, the solver
+# that the fraction-free integer rows of lomlab.exactlp replaced.  Both take
+# the same pivots, so the separators must be equal, not just both valid.
+
+
+def reference_feasible_nonneg(rows, rhs):
+    """A nonnegative exact solution of A x = b, or None when infeasible."""
+    m = len(rows)
+    if m == 0:
+        return []
+    n = len(rows[0])
+    a, b = [], []
+    for row, beta in zip(rows, rhs):
+        if len(row) != n:
+            raise ValueError("ragged constraint matrix")
+        if beta < 0:
+            a.append([-Fraction(v) for v in row])
+            b.append(-Fraction(beta))
+        else:
+            a.append([Fraction(v) for v in row])
+            b.append(Fraction(beta))
+
+    # tableau with one artificial variable per row; minimize their sum
+    width = n + m
+    tableau = []
+    for i in range(m):
+        row = a[i] + [Fraction(0)] * m + [b[i]]
+        row[n + i] = Fraction(1)
+        tableau.append(row)
+    basis = [n + i for i in range(m)]
+
+    # objective row: cost of artificials, reduced through the starting basis
+    cost = [Fraction(0)] * (width + 1)
+    for row in tableau:
+        for j in range(width + 1):
+            cost[j] -= row[j]
+    for i in range(m):
+        cost[n + i] = Fraction(0)
+
+    while True:
+        enter = next((j for j in range(width) if cost[j] < 0), None)
+        if enter is None:
+            break
+        # Bland: smallest ratio, ties to the smallest basis variable
+        leave = None
+        best = None
+        for i in range(m):
+            coeff = tableau[i][enter]
+            if coeff > 0:
+                ratio = tableau[i][width] / coeff
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise ArithmeticError("phase-1 objective is unbounded; cannot happen")
+        _reference_pivot(tableau, cost, basis, leave, enter, width)
+
+    if -cost[width] != 0:
+        return None
+    solution = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            solution[var] = tableau[i][width]
+        elif tableau[i][width] != 0:
+            return None  # artificial stuck at a positive level
+    return solution
+
+
+def _reference_pivot(tableau, cost, basis, leave, enter, width) -> None:
+    pivot_row = tableau[leave]
+    pivot = pivot_row[enter]
+    for j in range(width + 1):
+        pivot_row[j] /= pivot
+    for i, row in enumerate(tableau):
+        if i != leave and row[enter] != 0:
+            factor = row[enter]
+            for j in range(width + 1):
+                row[j] -= factor * pivot_row[j]
+    factor = cost[enter]
+    if factor != 0:
+        for j in range(width + 1):
+            cost[j] -= factor * pivot_row[j]
+    basis[leave] = enter
+
+
+def reference_separating_functional(vectors, index):
+    """The separator LP of exactlp.separating_functional (w as differences
+    of nonnegative pairs, one slack per vector), on the Fraction tableau."""
+    dim, count = len(vectors[0]), len(vectors)
+    rows, rhs = [], []
+    for k, vec in enumerate(vectors):
+        row = [Fraction(c) for c in vec] + [-Fraction(c) for c in vec] + [Fraction(0)] * count
+        row[2 * dim + k] = Fraction(-1 if k == index else 1)
+        rows.append(row)
+        rhs.append(Fraction(1 if k == index else -1))
+    solution = reference_feasible_nonneg(rows, rhs)
+    if solution is None:
+        return None
+    return [solution[j] - solution[dim + j] for j in range(dim)]
+
+
+# ---------------------------------------------------------------------------
 # Polytope oracles.
 
 
@@ -636,7 +732,7 @@ def zero_in_hull(vectors) -> bool:
     rows = [[Fraction(v[i]) for v in vectors] for i in range(dim)]
     rows.append([Fraction(1)] * len(vectors))
     rhs = [Fraction(0)] * dim + [Fraction(1)]
-    return feasible_nonneg(rows, rhs) is not None
+    return reference_feasible_nonneg(rows, rhs) is not None
 
 
 def hulls_intersect(left, right) -> bool:
@@ -649,7 +745,7 @@ def hulls_intersect(left, right) -> bool:
     rows.append([Fraction(1)] * nl + [Fraction(0)] * nr)
     rows.append([Fraction(0)] * nl + [Fraction(1)] * nr)
     rhs = [Fraction(0)] * dim + [Fraction(1), Fraction(1)]
-    return feasible_nonneg(rows, rhs) is not None
+    return reference_feasible_nonneg(rows, rhs) is not None
 
 
 def hulls_meet(config: PointConfig, left_labels, right_labels) -> bool:

@@ -40,6 +40,7 @@ from oracles import (
     reference_max_r_sampled,
     reference_minimal_partition,
     reference_null_space,
+    reference_separating_functional,
     zero_in_hull,
 )
 
@@ -550,3 +551,80 @@ def test_count_induced_validates_its_inputs():
         count_induced(triangle, Coloring.from_string("RBR"))
     with pytest.raises(ValueError):
         is_radon_pair(SQUARE, (1, 1, 2, 3), Coloring.from_string("RBBR"))
+
+
+# ---------------------------------------------------------------------------
+# Separating functionals: the integer-row simplex must take the pivots of the
+# Fraction tableau in oracles.py, so w must be equal, not just valid.
+
+
+def _assert_same_separator(vectors, index):
+    w = separating_functional(vectors, index)
+    assert w == reference_separating_functional(vectors, index)
+    if w is not None:
+        for k, vec in enumerate(vectors):
+            value = sum(w_i * c for w_i, c in zip(w, vec))
+            assert value >= 1 if k == index else value <= -1
+    return w
+
+
+@given(configs(max_extra=3), st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_separating_functional_matches_reference_on_signed_rays(config, seed):
+    for coloring in _colorings(config, seed, 2):
+        rays = affine_projection(config, coloring)
+        for index in range(config.n):
+            _assert_same_separator(rays, index)
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(1, 7),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_separating_functional_matches_reference_on_fractional_vectors(dim, count, seed):
+    # small fractional coordinates: both separable and infeasible instances
+    rng = random.Random(seed)
+    vectors = [[_coordinate(rng, True, 5) for _ in range(dim)] for _ in range(count)]
+    _assert_same_separator(vectors, rng.randrange(count))
+
+
+def test_separating_functional_returns_none_when_infeasible():
+    # <w, v> >= 1 and <w, v> <= -1 for the same v
+    assert _assert_same_separator([[Fraction(1, 2)], [Fraction(3, 2)]], 0) is None
+    # a point inside the hull of the negated others
+    square = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)],
+              [Fraction(-1), Fraction(1)], [Fraction(-1), Fraction(-1)],
+              [Fraction(0), Fraction(0)]]
+    assert _assert_same_separator(square, 4) is None
+    assert _assert_same_separator([[Fraction(2)], [Fraction(-3, 2)]], 0) == [Fraction(2, 3)]
+
+
+def test_separating_functional_rejects_an_index_outside_the_vectors():
+    vectors = [[Fraction(1)], [Fraction(-1)], [Fraction(-2)]]
+    for index in (3, -1):
+        with pytest.raises(ValueError, match="index"):
+            separating_functional(vectors, index)
+
+
+def test_separating_functional_rejects_no_vectors():
+    with pytest.raises(ValueError, match="at least one vector"):
+        separating_functional([], 0)
+
+
+def test_lift_is_identical_with_the_reference_separator(monkeypatch):
+    # the lifted points are built from w, so the lift must not move; the
+    # second lift starts from fractional points, exercising row denominators
+    config = random_point_config(9, 2, seed=7)
+    coloring = Coloring.from_string("RRBRBBBBR")
+
+    def lift_twice():
+        first = lift_unbalanced(config, coloring)
+        return first, lift_unbalanced(*first)
+
+    fast = lift_twice()
+    monkeypatch.setattr(galerad, "separating_functional", reference_separating_functional)
+    slow = lift_twice()
+    assert fast == slow
+    assert any(c.denominator > 1 for p in fast[1][0].points for c in p)
