@@ -235,8 +235,8 @@ def _cmd_radon(args) -> int:
             if args.trace:
                 from itertools import combinations
 
-                for sub in combinations(range(1, config.n + 1), config.dim + 2):
-                    hit = galerad.is_radon_pair(config, sub, coloring)
+                subsets = combinations(range(1, config.n + 1), config.dim + 2)
+                for sub, hit in zip(subsets, galerad.induced_flags(config, coloring)):
                     lines.append(
                         f"subset {','.join(map(str, sub))}: {'induced' if hit else 'no'}"
                     )

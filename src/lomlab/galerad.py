@@ -26,7 +26,11 @@ covered by tests against independent oracles:
     origin, which connects the count to facets of a dual configuration via
     the Gale transform;
   * flipping one point's color changes only the subsets that contain it, so
-    max_r walks the colorings in Gray-code order and recounts those alone;
+    max_r walks the colorings in Gray-code order and recounts those alone:
+    the subsets that the point, red or blue, leaves uninduced are an OR of
+    one lookup per chunk of at most six points in tables built once per
+    point, and the blue lookup reads the red table at the complemented
+    index;
   * by Kirchberger's theorem (Caratheodory in the lifted space), a point's
     signed ray is strictly separable from the others exactly when flipping
     its color induces no partition at all, so lift_unbalanced runs the
@@ -41,7 +45,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .exactlp import separating_functional
 
@@ -136,12 +140,14 @@ class PointConfig:
             if len(p) != self.dim:
                 raise ValueError(f"point {p} does not have dimension {self.dim}")
         rows = _lifted_rows(self.points)
+        # a subset's mask is the sum of its combinations tuple of unit bits
+        bits, size = [1 << i for i in range(self.n)], self.dim + 1
         table = {}
-        for subset in combinations(range(self.n), self.dim + 1):
+        for subset, masks in zip(combinations(range(self.n), size), combinations(bits, size)):
             det = _det([rows[i] for i in subset])
             if det == 0:
                 raise GeneralPositionError(tuple(i + 1 for i in subset))
-            table[_bits(subset)] = 1 if det > 0 else -1
+            table[sum(masks)] = 1 if det > 0 else -1
         object.__setattr__(self, "chirotope", table)
 
     @property
@@ -159,12 +165,12 @@ class PointConfig:
         """
         chi = self.chirotope
         out = {}
-        for subset in combinations(range(self.n), self.dim + 2):
-            members = _bits(subset)
+        for masks in combinations([1 << i for i in range(self.n)], self.dim + 2):
+            members = sum(masks)
             pos = 0
-            for k, s in enumerate(subset):
-                if (chi[members ^ (1 << s)] > 0) == (k % 2 == 0):
-                    pos |= 1 << s
+            for k, bit in enumerate(masks):
+                if (chi[members ^ bit] > 0) == (k % 2 == 0):
+                    pos |= bit
             out[members] = (pos, members ^ pos)
         return out
 
@@ -302,9 +308,10 @@ def _red_bits(coloring: Coloring) -> int:
     return _bits(i for i, c in enumerate(coloring.labels) if c == RED)
 
 
-def _count(partitions: dict[int, tuple[int, int]], red: int) -> int:
-    """Subsets whose minimal partition the red mask induces."""
-    return sum((red & members) in sides for members, sides in partitions.items())
+def _induced(partitions: dict[int, tuple[int, int]], red: int) -> Iterator[bool]:
+    """Per (d+2)-subset, in combinations order: does the red mask induce its
+    minimal partition?"""
+    return ((red & members) in sides for members, sides in partitions.items())
 
 
 def is_radon_pair(config: PointConfig, subset: Iterable[int], coloring: Coloring) -> bool:
@@ -328,41 +335,76 @@ def is_radon_pair(config: PointConfig, subset: Iterable[int], coloring: Coloring
     return (_red_bits(coloring) & members) in config._partitions[members]
 
 
-def count_induced(config: PointConfig, coloring: Coloring) -> int:
-    """Number of (d+2)-subsets whose minimal Radon partition the coloring induces."""
+def _checked_red(config: PointConfig, coloring: Coloring) -> int:
     if config.n < config.dim + 2:
         raise ValueError("need n >= d + 2 to count induced partitions")
     if coloring.n != config.n:
         raise ValueError("coloring length must match the configuration")
-    return _count(config._partitions, _red_bits(coloring))
+    return _red_bits(coloring)
+
+
+def count_induced(config: PointConfig, coloring: Coloring) -> int:
+    """Number of (d+2)-subsets whose minimal Radon partition the coloring induces."""
+    return sum(_induced(config._partitions, _checked_red(config, coloring)))
+
+
+def induced_flags(config: PointConfig, coloring: Coloring) -> list[bool]:
+    """is_radon_pair for every (d+2)-subset, in combinations order, from one
+    pass over the partition table."""
+    return list(_induced(config._partitions, _checked_red(config, coloring)))
 
 
 MAX_EXHAUSTIVE_POINTS = 22
 
+# point bits per flip-table chunk: 2^6 entries per table
+_CHUNK = 6
 
-def _flip_slices(config: PointConfig) -> list[tuple[tuple[int, int, int], ...]]:
-    """Per point p, the (d+2)-subsets through p as bit-sliced columns.
 
-    Number the subsets containing p by j.  Slice p holds (1 << q, same_q,
-    other_q) for each other point q: bit j of same_q (other_q) is set when q
-    is on p's side (the other side) of subset j's partition.  With p red,
-    subset j is induced exactly when its red members besides p are the rest
-    of p's side; with p blue, when they are the other side.
+def _flip_tables(config: PointConfig) -> list[list[tuple[int, int, list[int]]]]:
+    """Per point p, lookup tables of the subsets through p that a flip of p
+    leaves uninduced.
+
+    Number the subsets containing p by j.  Column same[q] (other[q]) has bit
+    j set when point q is on p's side (the other side) of subset j's
+    partition; the columns come from one pass over the partition table,
+    walking each subset's members only.  With p red, subset j is missed
+    when some other member q is red on the other side or blue on p's side,
+    so the missed set is an OR over q of other[q] or same[q].  The points
+    are cut into ceil(n / _CHUNK) chunks of consecutive bits, of near-equal
+    sizes, and each chunk (shift, full, table) tabulates that OR for every
+    red pattern r of its points, with p's own column zero so p's bit is
+    ignored.  With p blue the roles of same and other swap, which is the
+    same table read at r ^ full.
     """
-    n = config.n
-    slices = []
-    for p in range(n):
-        same, other = [0] * n, [0] * n
-        through_p = [sides for members, sides in config._partitions.items() if members >> p & 1]
-        for j, (pos, neg) in enumerate(through_p):
-            near, far = (pos, neg) if pos >> p & 1 else (neg, pos)
-            for q in range(n):
-                if near >> q & 1:
-                    same[q] |= 1 << j
-                elif far >> q & 1:
-                    other[q] |= 1 << j
-        slices.append(tuple((1 << q, same[q], other[q]) for q in range(n) if q != p))
-    return slices
+    n, partitions = config.n, config._partitions
+    same = [[0] * n for _ in range(n)]
+    other = [[0] * n for _ in range(n)]
+    through = [0] * n  # subsets through p numbered so far
+    for subset, (pos, _neg) in zip(combinations(range(n), config.dim + 2), partitions.values()):
+        for p in subset:
+            bit = 1 << through[p]
+            through[p] += 1
+            near = pos >> p & 1
+            same_p, other_p = same[p], other[p]
+            for q in subset:
+                if q != p:
+                    if pos >> q & 1 == near:
+                        same_p[q] |= bit
+                    else:
+                        other_p[q] |= bit
+    parts = -(-n // _CHUNK)  # ceil(n / _CHUNK)
+    cuts = [n * k // parts for k in range(parts + 1)]
+    tables = [[]]  # point 1 never flips
+    for p in range(1, n):
+        chunks = []
+        for shift, stop in zip(cuts, cuts[1:]):
+            table = [0]  # doubling: bit b of the index is point shift + b red
+            for q in range(shift, stop):
+                blue_q, red_q = same[p][q], other[p][q]
+                table = [t | blue_q for t in table] + [t | red_q for t in table]
+            chunks.append((shift, len(table) - 1, table))
+        tables.append(chunks)
+    return tables
 
 
 def max_r(config: PointConfig) -> tuple[int, Coloring]:
@@ -372,9 +414,11 @@ def max_r(config: PointConfig) -> tuple[int, Coloring]:
     mask colors point i + 2 blue), which is the lexicographically least
     maximizing coloring under R < B.  The colorings are walked in Gray-code
     order: step i flips the point of the lowest set bit of i, and only the
-    subsets through that point are recounted, all at once on the bit-sliced
-    columns of _flip_slices.  Configurations beyond 22 points are refused;
-    use max_r_sampled for those.
+    subsets through that point are recounted.  The subsets that the point
+    misses as red, and as blue, are one table lookup per chunk of at most
+    _CHUNK points in the _flip_tables of that point, OR-ed over the chunks,
+    so a step costs ceil(n / _CHUNK) lookups per color.  Configurations beyond 22
+    points are refused; use max_r_sampled for those.
     """
     n = config.n
     if n > MAX_EXHAUSTIVE_POINTS:
@@ -382,21 +426,18 @@ def max_r(config: PointConfig) -> tuple[int, Coloring]:
             f"exhaustive search is capped at {MAX_EXHAUSTIVE_POINTS} points; "
             "call max_r_sampled for an approximate scan"
         )
-    slices = _flip_slices(config)
+    tables = _flip_tables(config)
     red = (1 << n) - 1
-    count = best = _count(config._partitions, red)
+    count = best = sum(_induced(config._partitions, red))
     best_mask = 0
     for i in range(1, 1 << (n - 1)):
         p = (i & -i).bit_length()  # mask bit p - 1 is point index p
         # the subsets through p that p red, and p blue, fails to induce
         missed_red = missed_blue = 0
-        for bit, same, other in slices[p]:
-            if red & bit:
-                missed_red |= other
-                missed_blue |= same
-            else:
-                missed_red |= same
-                missed_blue |= other
+        for shift, full, table in tables[p]:
+            r = red >> shift & full
+            missed_red |= table[r]
+            missed_blue |= table[r ^ full]
         delta = missed_red.bit_count() - missed_blue.bit_count()
         count += delta if red >> p & 1 else -delta
         red ^= 1 << p
@@ -421,7 +462,7 @@ def max_r_sampled(config: PointConfig, samples: int, seed: int) -> tuple[int, Co
     for _ in range(samples):
         labels = (RED,) + tuple(rng.choice((RED, BLUE)) for _ in range(config.n - 1))
         coloring = Coloring(labels)
-        value = _count(partitions, _red_bits(coloring))
+        value = sum(_induced(partitions, _red_bits(coloring)))
         if value > best:
             best = value
             witness = coloring
@@ -452,7 +493,7 @@ def lift_unbalanced(config: PointConfig, coloring: Coloring) -> tuple[PointConfi
     red = _red_bits(coloring)
     partitions = config._partitions
     chosen = next(
-        (i for i in range(config.n) if _count(partitions, red ^ (1 << i)) == 0), None
+        (i for i in range(config.n) if not any(_induced(partitions, red ^ (1 << i)))), None
     )
     if chosen is None:
         raise LiftSeparationError(
@@ -476,16 +517,24 @@ def lift_unbalanced(config: PointConfig, coloring: Coloring) -> tuple[PointConfi
     return lifted, Coloring(labels)
 
 
+# draws after which random_point_config gives up
+_MAX_REDRAWS = 1000
+
+
 def random_point_config(n: int, dim: int, seed: int, spread: int | None = None) -> PointConfig:
     """Seeded integer configuration in general position.
 
     Coordinates are drawn uniformly from [-spread, spread] (default 8 * n)
     and redrawn whenever a degenerate subset appears, so equal seeds yield
-    equal configurations.
+    equal configurations.  Raises ValueError when the grid holds fewer than
+    n points, and when none of _MAX_REDRAWS draws is in general position.
     """
     rng = random.Random(seed)
     bound = spread if spread is not None else 8 * n
-    while True:
+    what = f"n={n} points in dimension {dim} with spread {bound}"
+    if bound < 0 or (2 * bound + 1) ** dim < n:
+        raise ValueError(f"cannot draw {what}: the grid has fewer than n points")
+    for _ in range(_MAX_REDRAWS):
         rows = [
             tuple(Fraction(rng.randint(-bound, bound)) for _ in range(dim))
             for _ in range(n)
@@ -496,3 +545,4 @@ def random_point_config(n: int, dim: int, seed: int, spread: int | None = None) 
             return PointConfig(dim, tuple(rows))
         except GeneralPositionError:
             continue
+    raise ValueError(f"no general-position draw of {what} in {_MAX_REDRAWS} tries")

@@ -1,6 +1,9 @@
+from itertools import combinations
+
 import pytest
 
 from lomlab.cli import main
+from lomlab.galerad import Coloring, PointConfig, is_radon_pair
 
 
 @pytest.fixture()
@@ -158,6 +161,39 @@ def test_radon_count_square(square, tmp_path, capsys):
     )
     assert code == 0
     assert "count = 1" in stdout
+
+
+@pytest.mark.parametrize(
+    "points, coloring",
+    [
+        # integer coordinates, d = 2
+        ("7 2\n0 0\n5 1\n2 6\n-3 4\n-4 -2\n1 -5\n3 3\n", "RBBRBRB"),
+        # fractional coordinates, d = 3
+        ("6 3\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n1/2 1/3 1/4\n-3/2 2/5 7/3\n", "RBBRRB"),
+    ],
+)
+def test_radon_count_trace_lines_match_is_radon_pair(points, coloring, tmp_path, capsys):
+    path = tmp_path / "points.txt"
+    path.write_text(points)
+    out = tmp_path / "r"
+    code, _, _ = run(
+        ["radon", str(path), "count", "--coloring", coloring, "--trace", "--out", str(out)],
+        capsys,
+    )
+    assert code == 0
+    config = PointConfig.from_text(points)
+    color = Coloring.from_string(coloring)
+    (report,) = out.glob("radon-count-*.txt")
+    lines = report.read_text().splitlines()
+    traced = [line for line in lines if line.startswith("subset ")]
+    subsets = list(combinations(range(1, config.n + 1), config.dim + 2))
+    assert len(traced) == len(subsets)
+    for line, sub in zip(traced, subsets):
+        hit = is_radon_pair(config, sub, color)
+        assert line == f"subset {','.join(map(str, sub))}: {'induced' if hit else 'no'}"
+    induced = sum(line.endswith(": induced") for line in traced)
+    assert 0 < induced < len(subsets)
+    assert f"count: {induced}" in lines
 
 
 def test_radon_count_needs_coloring(square, tmp_path, capsys):

@@ -84,6 +84,16 @@ def test_random_config_is_reproducible():
     assert a != random_point_config(7, 2, seed=10)
 
 
+def test_random_config_refuses_grids_without_a_general_position_draw():
+    # 3 integer points in [0, 0] do not exist: refused before any draw
+    with pytest.raises(ValueError, match="n=3 points in dimension 1 with spread 0"):
+        random_point_config(3, 1, seed=1, spread=0)
+    # the 3 x 3 grid has 9 points but no 7 in general position: refused
+    # after a fixed number of degenerate draws instead of looping forever
+    with pytest.raises(ValueError, match="n=7 points in dimension 2 with spread 1"):
+        random_point_config(7, 2, seed=1, spread=1)
+
+
 # ---------------------------------------------------------------------------
 # Gale transforms.
 
@@ -495,6 +505,23 @@ def test_max_r_ties_go_to_the_least_mask():
     assert ties == 4
 
 
+def test_max_r_flip_tables_across_chunk_boundaries():
+    # n from 8 to 13 cuts the points into 2 or 3 table chunks, and the walk
+    # flips every point but the first, so p takes the first, a middle and
+    # the last bit position of a chunk; the brute-force maximum recounts
+    # every coloring with point 1 red, in mask order, ties to the least mask
+    ties = 0
+    for d in (1, 2, 3):
+        for n in range(8, 14):
+            config = random_point_config(n, d, seed=100 * d + n)
+            colorings = list(reference_colorings(n))
+            values = [count_induced(config, c) for c in colorings]
+            best = max(values)
+            ties += values.count(best) > 1
+            assert max_r(config) == (best, colorings[values.index(best)])
+    assert ties >= 3
+
+
 @given(configs(max_extra=6), st.integers(1, 40), st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_max_r_sampled_matches_reference(config, samples, seed):
@@ -523,6 +550,33 @@ def test_kirchberger_check_matches_separating_functional(config, seed):
         else:
             with pytest.raises(LiftSeparationError):
                 lift_unbalanced(config, coloring)
+
+
+def test_lift_chooses_the_first_point_whose_flip_induces_nothing():
+    # random colorings usually leave several separable points, the maximizing
+    # coloring usually none; the reference recounts every flipped coloring
+    rng = random.Random(406)
+    several = none = 0
+    for _ in range(12):
+        d = rng.randint(1, 3)
+        config = random_point_config(d + rng.randint(3, 4), d, seed=rng.randint(0, 10**6))
+        random_coloring = Coloring(tuple(rng.choice("RB") for _ in range(config.n)))
+        for coloring in (random_coloring, max_r(config)[1]):
+            qualifying = []
+            for i in range(config.n):
+                labels = list(coloring.labels)
+                labels[i] = "B" if labels[i] == "R" else "R"
+                if reference_count_induced(config, Coloring(tuple(labels))) == 0:
+                    qualifying.append(i + 1)
+            if qualifying:
+                _, lifted_coloring = lift_unbalanced(config, coloring)
+                assert lifted_coloring.red == {qualifying[0]}
+            else:
+                with pytest.raises(LiftSeparationError):
+                    lift_unbalanced(config, coloring)
+            several += len(qualifying) > 1
+            none += not qualifying
+    assert several >= 5 and none >= 3
 
 
 def test_lift_runs_the_simplex_only_on_the_chosen_point(monkeypatch):
