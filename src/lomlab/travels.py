@@ -44,16 +44,13 @@ frame that walks the drop columns depth first on an explicit stack, over
 int-bitmask rows.  Its walk is the one definition of the class order, the
 lexicographic order of breakpoints (drop columns, then n), and
 ``enumerate_plain_travels`` is the kernel run on the all-plus matrix.
-``scan_classes`` runs it on a matrix and ``_min_class`` on raw row masks,
-which is how the rank-3 board scan reaches it without building a matrix
-per board.  ``_min_class`` takes a stop threshold, `floor`: it returns the
-first class whose count is below it, so a count below `floor` only bounds
-the minimum and a count at or above it is exact (the default, 1, stops at
-a class with no interior element).  Each class's top travel is its
-prescribed plain travel, so only the bottom travel is walked (in
-``_close``, one ``int.bit_length`` step per segment on the rows' turn
-masks), and criterion (c) becomes one AND per row of the two travels'
-masks of columns strictly inside a segment.  No table is kept per (r, n):
+``scan_classes`` runs it on a matrix and ``_min_class`` on raw row masks;
+``_min_class`` stops at the first class with no interior element, since
+no class has fewer.  Each class's top travel is its prescribed plain
+travel, so only the bottom travel is walked (in ``_close``, one
+``int.bit_length`` step per segment on the rows' turn masks), and
+criterion (c) becomes one AND per row of the two travels' masks of
+columns strictly inside a segment.  No table is kept per (r, n):
 a scan's state is its stack and one list of top-travel masks, set on
 descent and cleared on backtrack.
 
@@ -62,8 +59,15 @@ segment ending in a drop, and ``_close`` adds the last segment and walks
 the bottom travel.  ``_scan`` shares the drop steps of a prefix among the
 classes below it; ``_class_of`` evaluates a single class, one
 ``_drop_step`` per drop and then ``_close``.
-``reorientation_for_pt`` and ``interior_elements`` are built on it, and the
-rank-3 board scan uses it to try a known witness class before scanning.
+``reorientation_for_pt`` and ``interior_elements`` are built on it.
+
+The rank-3 board scan evaluates a whole batch of matrices at once with
+``_min_lanes``, the lane kernel.  Its input is one int per matrix entry,
+a plane, whose bit l is that entry of the l-th matrix (lane l).  A class's
+top travel is the same on every lane, so each class in ``_scan``'s order
+costs one pass over the planes: the segment steps become xors of planes,
+the bottom travel is swept over lane masks, and the interior counts go
+into bit-sliced per-lane minima.  Every lane gets its exact minimum.
 """
 
 from __future__ import annotations
@@ -376,20 +380,18 @@ def _class_of(masks: Sequence[int], n: int, drops: Sequence[int]) -> tuple[int, 
 
 
 def _min_class(
-    masks: Sequence[int], n: int, include_trivial: bool = True, floor: int = 1
+    masks: Sequence[int], n: int, include_trivial: bool = True
 ) -> tuple[int, tuple[int, ...]]:
     """Least interior count over the classes and the first drops reaching it.
 
-    The scan stops at the first class whose count is below `floor` and
-    returns that class, so a count below `floor` only bounds the minimum;
-    a count at or above `floor` is the exact minimum.  The default floor
-    of 1 stops at a class with no interior element, which is exact too.
+    The scan stops at the first class with no interior element, since no
+    class can have fewer.
     """
     best, best_drops = n + 1, None
     for drops, _, interior in _scan(masks, n, include_trivial):
         count = interior.bit_count()
         if count < best:
-            if count < floor:
+            if not count:
                 return count, drops
             best, best_drops = count, drops
     if best_drops is None:
@@ -398,6 +400,111 @@ def _min_class(
             "scan it with include_trivial=True"
         )
     return best, best_drops
+
+
+# ---------------------------------------------------------------------------
+# The lane kernel: one class on a whole batch of matrices at once.  Lane l is
+# the l-th matrix of the batch, and a plane is an int with bit l for lane l:
+# planes[i][j] has bit l set when entry (i + 1, j + 1) of lane l's matrix is
+# -1.  A per-lane number is a list of planes, least significant bit first.
+
+
+def _compare_lanes(x: Sequence[int], y: Sequence[int], full: int) -> tuple[int, int]:
+    """(less, same): the lanes where the number x is below y, and where they
+    are equal.  x and y have the same plane count; `full` has a bit per lane."""
+    less, same = 0, full
+    for xb, yb in zip(reversed(x), reversed(y)):
+        # complementing a big int is several times slower than an xor
+        differ = same & (xb ^ yb)
+        less |= differ & yb
+        same ^= differ
+    return less, same
+
+
+def _min_lanes(planes: Sequence[Sequence[int]], n: int, full: int) -> list[int]:
+    """Per lane, the least interior count over the acyclic classes.
+
+    `planes` are the r x n entry planes of a batch and `full` has a bit per
+    lane.  Returns the minima as (n + 1).bit_length() planes; each equals
+    ``_min_class(masks, n)[0]`` of its lane.
+
+    A class's top travel is its plain travel on every lane, so the classes
+    run in the kernel's order, the drops of ``_scan([0] * r, n)``, and each
+    drop step of ``_drop_step`` becomes xors of planes: a flip plane is the
+    entry plane in the segment's row xor the pivot plane.  The bottom
+    travel is swept row by row, right to left, over lane masks: `here`
+    holds the lanes walking along the row at column c, which rise into the
+    row above where the reoriented row turns and walk on elsewhere.  As in
+    ``_close``, a middle column is interior on the lanes that walk level
+    through it, when the top travel's segment in that row or the row above
+    has it inside.  Each interior column's lanes go into a bit-sliced
+    count, and the count into the running minima.  The scan stops once
+    every lane has a class with no interior element.
+    """
+    r = len(planes)
+    width = (n + 1).bit_length()
+    least = [full] * width  # 2 ** width - 1 lies above every count
+    turns = [[row[c] ^ row[c + 1] for c in range(n - 1)] for row in planes]
+    for drops, _, _ in _scan([0] * r, n):
+        flips = [0] * n  # column 1 is never flipped
+        tops = [0] * (r + 1)
+        k, a, pivot = 0, 0, planes[0][0]
+        for drop in drops:
+            b, row = drop - 1, planes[k]
+            for c in range(a + 1, b):
+                flips[c] = row[c] ^ pivot
+            flips[b] = row[b] ^ pivot ^ full
+            pivot = planes[k + 1][b] ^ flips[b]
+            k += 1
+            tops[k] = ((1 << b) - 1) & (-2 << a)
+            a = b
+        row = planes[k]
+        for c in range(a + 1, n):
+            flips[c] = row[c] ^ pivot
+        tops[k + 1] = ((1 << n) - 1) & (-2 << a)
+        moves = [flips[c] ^ flips[c + 1] for c in range(n - 1)]
+
+        # the lanes of each interior column; column n is interior on every
+        # lane when the top travel runs along row r through n - 1 and n
+        interior = [full] if k == r - 1 and a < n - 1 else []
+        enter = [0] * n
+        enter[n - 1] = full
+        # enter[c]: the lanes whose bottom travel enters the row at column c;
+        # level: those that walked level into column c from c + 1
+        for i in range(r - 1, 0, -1):
+            inner, turn, rises = tops[i] | tops[i + 1], turns[i], [0] * n
+            here, level = enter[n - 1], 0
+            for c in range(n - 1, 0, -1):
+                rise = here & (turn[c - 1] ^ moves[c - 1])
+                rises[c - 1] = rise
+                if level and inner >> c & 1:
+                    interior.append(level)
+                level = here ^ rise
+                here = level | enter[c - 1] if enter[c - 1] else level
+            enter = rises
+        # every class is acyclic, so no lane rises out of row 1: a lane
+        # walks level from the column it enters at down to column 1
+        inner, level = tops[1], 0
+        for c in range(n - 1, -1, -1):
+            if level and (not c or inner >> c & 1):  # column 1: criterion (a)
+                interior.append(level)
+            level |= enter[c]
+
+        count = [0] * width
+        for lanes in interior:
+            for bit in range(width):
+                carry = count[bit] & lanes
+                count[bit] ^= lanes
+                if not carry:
+                    break
+                lanes = carry
+        less, _ = _compare_lanes(count, least, full)
+        if less:
+            for bit in range(width):
+                least[bit] ^= (least[bit] ^ count[bit]) & less
+            if not any(least):
+                break
+    return least
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .chessboard import (
     CONSTRUCTION_N,
@@ -22,14 +23,13 @@ from .chessboard import (
     Chessboard,
     board_from_sequence,
     canonical_matrix,
-    canonical_row_masks,
     corners_for,
 )
 from .sign_matrix import SignMatrix, reorient
 from .travels import (
     Travel,
-    _class_of,
-    _min_class,
+    _compare_lanes,
+    _min_lanes,
     enumerate_plain_travels,  # noqa: F401  (perfbench/spans.py wraps it here)
     interior_elements,
     min_interior,
@@ -275,11 +275,10 @@ def reproduce_counterexample(which: str) -> VerificationReport:
 # Exhaustive rank-3 board scan.
 
 
-RANK3_MAX_N = 13
+RANK3_MAX_N = 14
 # Codes per rank-3 scan task, whatever the worker count: a task's result
 # depends only on its code range, so the report does not depend on
-# --workers, and many small tasks keep the workers evenly loaded although
-# the symmetry-pruned representatives crowd into the low codes.
+# --workers.  Each task is one batch of the lane kernel.
 CHUNK_CODES = 1 << 12
 
 
@@ -297,31 +296,70 @@ def _board_from_code(n: int, code: int) -> Chessboard:
     return Chessboard(tuple(rows))
 
 
-def _code_masks(n: int, code: int) -> list[int]:
-    """Row masks of the canonical matrix of the board with this code: the
-    low n - 1 bits are board row 1, the next n - 1 bits board row 2."""
+def _code_planes(start: int, stop: int, bits: int) -> list[int]:
+    """Lane planes of the codes in [start, stop): bit l of planes[b] is bit b
+    of the code start + l.
+
+    The lane numbers' bits are periodic patterns, and start is added to
+    them with a ripple carry, so any range works, aligned or not.
+    """
+    lanes = stop - start
+    full = (1 << lanes) - 1
+    planes, carry = [], 0
+    for b in range(bits):
+        half = 1 << b
+        lane_bit = 0
+        if half < lanes:
+            period = 2 * half
+            repeat = ((1 << period * -(-lanes // period)) - 1) // ((1 << period) - 1)
+            lane_bit = (((1 << half) - 1) << half) * repeat & full
+        start_bit = full if start >> b & 1 else 0
+        planes.append(lane_bit ^ start_bit ^ carry)
+        carry = (lane_bit & start_bit) | (carry & (lane_bit ^ start_bit))
+    return planes
+
+
+def _entry_planes(code: Sequence[int], n: int) -> list[list[int]]:
+    """Entry planes of the boards' canonical matrices, as in
+    ``chessboard.canonical_row_masks``: row 1 and column 1 are all plus,
+    and rows i and i + 1 differ in column j + 1 exactly when an odd number
+    of the squares left of it in board row i are black."""
     width = n - 1
-    return canonical_row_masks((code & ((1 << width) - 1), code >> width), width)
+    rows = [[0] * n]
+    for black in (code[:width], code[width:]):
+        above, row, odd = rows[-1], [0], 0
+        for j in range(width):
+            odd ^= black[j]
+            row.append(above[j + 1] ^ odd)
+        rows.append(row)
+    return rows
 
 
-def _bit_reversals(width: int) -> list[int]:
-    """rev[x] is x with its `width` low bits in reverse order."""
-    rev = [0] * (1 << width)
-    for x in range(1, 1 << width):
-        rev[x] = rev[x >> 1] >> 1 | (x & 1) << (width - 1)
-    return rev
+def _orbit_lanes(code: Sequence[int], width: int, full: int) -> tuple[int, int, int]:
+    """(least, fixed_by_all, fixed_by_one) over the codes' symmetry orbits.
+
+    The images of a board are its left-right mirror, its top-bottom flip
+    and both.  `least` holds the lanes whose code is the least of its
+    orbit, `fixed_by_all` those equal to all three images and
+    `fixed_by_one` those equal to at least one.  The orbit has 4 boards
+    when no image equals the code, 1 when all do and 2 otherwise.
+    """
+    top, bottom = code[:width], code[width:]
+    least, fixed_by_all, fixed_by_one = full, full, 0
+    for image in (top[::-1] + bottom[::-1], bottom + top, bottom[::-1] + top[::-1]):
+        less, same = _compare_lanes(code, image, full)
+        least &= less | same
+        fixed_by_all &= same
+        fixed_by_one |= same
+    return least, fixed_by_all, fixed_by_one
 
 
-def _code_orbit(code: int, width: int, rev: Sequence[int]) -> tuple[int, int, int, int]:
-    """The code of the board, of its left-right mirror, of its top-bottom
-    flip and of both; `rev` is ``_bit_reversals(width)``."""
-    top, bottom = code & ((1 << width) - 1), code >> width
-    return (
-        code,
-        rev[top] | rev[bottom] << width,
-        bottom | top << width,
-        rev[bottom] | rev[top] << width,
-    )
+def _codes(lanes: int, start: int) -> Iterator[int]:
+    """The codes of the lanes in the mask, in code order."""
+    while lanes:
+        low = lanes & -lanes
+        yield start + low.bit_length() - 1
+        lanes ^= low
 
 
 def _scan_chunk(args: tuple[int, int, int, int, bool]) -> tuple:
@@ -332,46 +370,37 @@ def _scan_chunk(args: tuple[int, int, int, int, bool]) -> tuple:
     weight of the boards whose minimum equals the bound and the first 8 of
     them, the boards above it, and the number of boards scanned.
 
-    A board whose minimum lies below both the bound and the worst value so
-    far changes none of these, so one class below that floor settles it.
-    The class that settled the previous such board is tried first, then a
-    scan that stops at the first class below the floor; a board at or
-    above the floor gets its exact minimum from the same scan.
+    Every board of the range is a lane of ``travels._min_lanes``, which
+    gives each its exact minimum; the tuple is read off the minima with
+    lane masks.  With `prune` only the least code of each orbit counts,
+    weighted by the orbit's size, but every lane is still computed.
     """
     n, start, stop, bound, prune = args
-    rev = _bit_reversals(n - 1) if prune else []
-    worst = -1
-    worst_code = -1
-    attain = 0
-    violations: list[int] = []
-    exemplars: list[int] = []
-    evaluated = 0
-    hint = None
-    for code in range(start, stop):
-        weight = 1
-        if prune:
-            orbit = _code_orbit(code, n - 1, rev)
-            if code != min(orbit):
-                continue
-            weight = len(set(orbit))
-        evaluated += 1
-        masks = _code_masks(n, code)
-        floor = min(bound, worst + 1)
-        if hint is not None and _class_of(masks, n, hint)[1].bit_count() < floor:
-            continue
-        value, drops = _min_class(masks, n, True, floor)
-        if value < floor:
-            hint = drops
-            continue
-        if value > worst:
-            worst, worst_code = value, code
-        if value == bound:
-            attain += weight
-            if len(exemplars) < 8:
-                exemplars.append(code)
-        if value > bound:
-            violations.append(code)
-    return worst, worst_code, attain, exemplars, violations, evaluated
+    full = (1 << (stop - start)) - 1
+    code = _code_planes(start, stop, 2 * (n - 1))
+    least = _min_lanes(_entry_planes(code, n), n, full)
+    evaluated, fixed_by_all, fixed_by_one = (
+        _orbit_lanes(code, n - 1, full) if prune else (full, full, full)
+    )
+    at = []  # at[v]: the evaluated lanes whose minimum is v
+    for value in range(n + 1):
+        lanes = evaluated
+        for bit, plane in enumerate(least):
+            lanes &= plane if value >> bit & 1 else full ^ plane
+        at.append(lanes)
+    worst = max((v for v in range(n + 1) if at[v]), default=-1)
+    worst_code = next(_codes(at[worst], start)) if worst >= 0 else -1
+    attained = at[bound] if 0 <= bound <= n else 0
+    above = 0
+    for lanes in at[max(bound + 1, 0):]:
+        above |= lanes
+    attain = (
+        attained.bit_count()
+        + (attained ^ (attained & fixed_by_all)).bit_count()
+        + 2 * (attained ^ (attained & fixed_by_one)).bit_count()
+    )
+    exemplars = list(islice(_codes(attained, start), 8))
+    return worst, worst_code, attain, exemplars, list(_codes(above, start)), evaluated.bit_count()
 
 
 def _rank3_scan(n: int, bound: int, prune: bool, workers: int) -> tuple:
@@ -403,8 +432,10 @@ def exhaustive_rank3_scan(
     smallest code of each orbit under left-right mirroring and top-bottom
     flipping is evaluated (both flips preserve the per-board minimum; the
     scan verdict and attainment counts are unchanged, which the tests
-    cross-check).  The codes are cut into tasks of CHUNK_CODES codes, merged
-    in code order, so the report is the same for every worker count.
+    cross-check).  The lane kernel computes every board either way, so
+    pruning changes the `evaluated` count, not the cost.  The codes are
+    cut into tasks of CHUNK_CODES codes, merged in code order, so the
+    report is the same for every worker count.
     """
     check_rank3_n(n)
     start_time = time.perf_counter()
@@ -513,10 +544,10 @@ def search_small_topes(
             raise ValueError("exhaustive board search is only feasible for r = 3")
         check_rank3_n(n)
         tried = 1 << (2 * (n - 1))
-        # with a bound above n no board reaches it, so the chunk scan's
-        # floor is the best value so far plus one; the first code with the
-        # maximum is the least of its orbit, since both flips keep the
-        # minimum, so the pruned scan finds it
+        # with a bound above n no board reaches it, and the scan's worst
+        # value is the largest minimum; the first code with it is the
+        # least of its orbit, since both flips keep the minimum, so the
+        # pruned scan finds it
         best_value, best_code = _rank3_scan(n, n + 1, True, available_cpus())[:2]
         best_board = _board_from_code(n, best_code)
     else:

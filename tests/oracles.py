@@ -342,8 +342,9 @@ def parallel_rule_check(matrix: SignMatrix) -> bool:
 # Reference rank-3 board scan: a Chessboard, a validated SignMatrix built
 # entry by entry and a Travel per board code, and the symmetry orbit by
 # unpacking the code into bit lists.  This is the per-board path that
-# lomlab.verifier._scan_chunk replaced with row masks and a bit-reversal
-# table, and that chessboard.canonical_row_masks replaced for every board.
+# lomlab.verifier._scan_chunk replaced with one lane kernel per chunk (code
+# planes, entry planes and bit-sliced orbit compares), and that
+# chessboard.canonical_row_masks replaced for every board.
 
 
 def reference_board_from_code(n: int, code: int) -> Chessboard:

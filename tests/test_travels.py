@@ -455,20 +455,24 @@ def test_single_class_evaluator_matches_scan(matrix):
     _classes_match_single_class_evaluator(matrix)
 
 
-def test_min_class_floor_on_every_rank3_n7_board():
-    # below the floor: some class below it, exactly when the minimum is;
-    # otherwise the exact minimum and its first witness
-    from lomlab.travels import _class_of, _min_class
-    from lomlab.verifier import _code_masks
+@pytest.mark.parametrize("r", [3, 4])
+def test_lane_kernel_matches_min_class_on_random_lanes(r):
+    # seeded random r x n matrices, not canonical boards: row 1 and column 1
+    # vary too, and the lanes of a batch are unrelated
+    from lomlab.travels import _min_class, _min_lanes
 
-    n = 7
-    for code in range(1 << 12):
-        masks = _code_masks(n, code)
-        exact = _min_class(masks, n, True, 0)
-        for floor in range(n + 1):
-            count, drops = _min_class(masks, n, True, floor)
-            if exact[0] < floor:
-                assert count < floor, (code, floor)
-                assert _class_of(masks, n, drops)[1].bit_count() == count, (code, floor)
-            else:
-                assert (count, drops) == exact, (code, floor)
+    rng = random.Random(1100 + r)
+    seen = set()
+    for n in range(2, 11):
+        for lanes in (1, rng.randint(2, 90)):
+            masks = [[rng.getrandbits(n) for _ in range(r)] for _ in range(lanes)]
+            planes = [
+                [sum((m[i] >> j & 1) << lane for lane, m in enumerate(masks)) for j in range(n)]
+                for i in range(r)
+            ]
+            least = _min_lanes(planes, n, (1 << lanes) - 1)
+            for lane, m in enumerate(masks):
+                value = sum((plane >> lane & 1) << bit for bit, plane in enumerate(least))
+                assert value == _min_class(m, n)[0], (n, m)
+                seen.add(value)
+    assert len(seen) >= 3  # the batches reach past the all-zero early stop

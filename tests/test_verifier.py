@@ -294,30 +294,24 @@ def test_exploration_report_text():
 
 
 def test_code_masks_match_canonical_matrix_rows():
+    # every board's canonical matrix, and its lane of the chunk kernel's
+    # entry planes, on one range per n that starts off a chunk boundary
     from lomlab.travels import _row_masks
-    from lomlab.verifier import _board_from_code, _code_masks
+    from lomlab.verifier import _board_from_code, _code_planes, _entry_planes
 
     from oracles import reference_board_from_code, reference_canonical_matrix
 
     for n in range(5, 9):
-        for code in range(1 << (2 * (n - 1))):
+        total = 1 << (2 * (n - 1))
+        start, stop = total // 5, total // 5 + 300
+        planes = _entry_planes(_code_planes(start, stop, 2 * (n - 1)), n)
+        for code in range(total):
             matrix = canonical_matrix(_board_from_code(n, code))
             assert matrix == reference_canonical_matrix(reference_board_from_code(n, code))
-            assert _code_masks(n, code) == _row_masks(matrix.rows), (n, code)
-
-
-def test_code_orbit_matches_reference_transforms():
-    from lomlab.verifier import _bit_reversals, _code_orbit
-
-    from oracles import reference_code_transforms
-
-    for n in range(5, 9):
-        rev = _bit_reversals(n - 1)
-        for code in range(1 << (2 * (n - 1))):
-            orbit = _code_orbit(code, n - 1, rev)
-            reference = reference_code_transforms(n, code)
-            assert orbit == reference, (n, code)
-            assert (min(orbit), len(set(orbit))) == (min(reference), len(set(reference)))
+            if start <= code < stop:
+                lane = code - start
+                masks = [sum((plane >> lane & 1) << j for j, plane in enumerate(row)) for row in planes]
+                assert masks == _row_masks(matrix.rows), (n, code)
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -327,9 +321,8 @@ def test_scan_chunk_matches_public_path(n, prune):
 
     from oracles import reference_scan_chunk
 
-    # every bound from 0 to n: below n - 5 most boards reach it, above the
-    # largest minimum none does and the worst value comes from the floor
-    # alone
+    # every bound from 0 to n: below n - 5 most boards exceed it, and above
+    # the largest minimum none reaches it
     total = 1 << (2 * (n - 1))
     for start, stop in ((0, total), (total // 3, total // 2)):
         for bound in range(n + 1):
@@ -354,3 +347,36 @@ def test_theorem_board_table_matches_hand_inversion():
                     reference.sequence,
                     reference.corners,
                 ), (r, n)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_scan_chunk_edges_match_public_path(n):
+    # single codes, ranges across a power-of-two code boundary (among them
+    # the one between the two board rows) and the tail of the code range,
+    # in both prune modes and against every bound from 0 to n + 1
+    from lomlab.verifier import _scan_chunk
+
+    from oracles import reference_scan_chunk
+
+    width = n - 1
+    total = 1 << (2 * width)
+    ranges = [(0, 1), (total // 2 + 7, total // 2 + 8), (total - 1, total)]
+    ranges += [((1 << k) - 5, (1 << k) + 6) for k in (3, width, width + 2, 2 * width - 1)]
+    ranges += [(total - 300, total), (max(total - 1365, 0), total)]
+    for start, stop in ranges:
+        for bound in range(n + 2):
+            for prune in (False, True):
+                args = (n, start, stop, bound, prune)
+                assert _scan_chunk(args) == reference_scan_chunk(args), args
+
+
+@pytest.mark.slow
+def test_rank3_scan_n14_pruned_agrees_with_unpruned():
+    # the evidence for RANK3_MAX_N = 14: both full n = 14 scans pass and
+    # agree (minutes with two workers; deselected from the default run)
+    full = exhaustive_rank3_scan(14, workers=2)
+    pruned = exhaustive_rank3_scan(14, symmetry_prune=True, workers=2)
+    assert full.passed and pruned.passed
+    assert full.min_interior_observed == pruned.min_interior_observed == 9
+    assert full.parameters["attain_bound"] == pruned.parameters["attain_bound"]
+    assert int(pruned.parameters["evaluated"]) < int(full.parameters["evaluated"])
