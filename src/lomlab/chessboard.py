@@ -8,7 +8,8 @@ exactly those moves.  Since row flips do not move any travel and column
 flips permute the acyclic reorientation classes, every quantity this package
 scans (minimum interior count, the multiset of interior sets over classes)
 is a board invariant; the canonical realization below therefore loses
-nothing.
+nothing.  It also has a plane form, ``canonical_planes``, which realizes a
+batch of boards at once with one bit per board in every entry.
 
 A board "has the sequence (x_1, ..., x_{r-1})" when row i of the board is
 black exactly in the run of x_i columns starting right after the runs of the
@@ -180,41 +181,31 @@ def board_from_sequence(r: int, n: int, sequence: Sequence[int]) -> Chessboard:
     return Chessboard(_sequence_black(r, n, seq), sequence=seq)
 
 
-def _prefix_xor(bits: int, width: int) -> int:
-    """Bit j of the result is the xor of bits 0 .. j of `bits`."""
-    shift = 1
-    while shift < width:
-        bits ^= bits << shift
-        shift <<= 1
-    return bits & ((1 << width) - 1)
+def canonical_planes(black: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Entry planes of the canonical realizations of a batch of boards.
 
-
-def canonical_row_masks(black: Sequence[int], width: int) -> list[int]:
-    """Row bitmasks of the canonical realization of a board.
-
-    `black` holds one mask per board row (bit j set when square column
-    j + 1 is black) and `width` is the board's column count.  In the
-    returned masks bit j is set when the entry in column j + 1 is -1.  Row 1
-    is all plus, and column 1 too: by the 2 x 2 parity rule, rows i and
-    i + 1 differ in column j + 1 exactly when an odd number of squares left
-    of it in board row i are black.
+    Bit l of ``black[i][j]`` is set when square (i + 1, j + 1) of board l is
+    black; bit l of entry [i][j] of the result is set when that entry of
+    board l's canonical matrix is -1.  One board is the one-lane case.  Row
+    1 and column 1 are all plus, and by the 2 x 2 parity rule rows i and
+    i + 1 differ in column j + 1 exactly when an odd number of the squares
+    left of it in board row i are black.
     """
-    rows = [0]
-    for row in black:
-        rows.append(rows[-1] ^ (_prefix_xor(row, width) << 1))
+    rows = [[0] * (len(black[0]) + 1)]
+    for squares in black:
+        above, row, odd = rows[-1], [0], 0
+        for j, plane in enumerate(squares):
+            odd ^= plane
+            row.append(above[j + 1] ^ odd)
+        rows.append(row)
     return rows
 
 
 def canonical_matrix(board: Chessboard) -> SignMatrix:
     """The unique matrix with all-plus first row and first column realizing
-    the board: each remaining entry is forced by the 2 x 2 parity rule."""
-    black = [sum(1 << j for j, v in enumerate(row) if v) for row in board.black]
-    n = board.matrix_cols
+    the board: the one-lane case of ``canonical_planes``."""
     return SignMatrix(
-        tuple(
-            tuple(-1 if (mask >> j) & 1 else 1 for j in range(n))
-            for mask in canonical_row_masks(black, board.cols)
-        )
+        tuple(tuple(-1 if entry else 1 for entry in row) for row in canonical_planes(board.black))
     )
 
 

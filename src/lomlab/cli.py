@@ -10,6 +10,7 @@ blocks.  Wall time goes to stdout only.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 from pathlib import Path
@@ -95,6 +96,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--seed", type=int, default=0)
     p_scan.add_argument("--out", type=Path, default=Path("reports"))
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and kept for the process:
+    parsing never changes it, and building it costs more than a small run."""
+    return _build_parser()
 
 
 def _param_hash(parts: list[str]) -> str:
@@ -342,9 +350,8 @@ def _cmd_scan(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     if args.command == "verify":

@@ -23,6 +23,7 @@ from .chessboard import (
     Chessboard,
     board_from_sequence,
     canonical_matrix,
+    canonical_planes,
     corners_for,
 )
 from .sign_matrix import SignMatrix, reorient
@@ -319,22 +320,6 @@ def _code_planes(start: int, stop: int, bits: int) -> list[int]:
     return planes
 
 
-def _entry_planes(code: Sequence[int], n: int) -> list[list[int]]:
-    """Entry planes of the boards' canonical matrices, as in
-    ``chessboard.canonical_row_masks``: row 1 and column 1 are all plus,
-    and rows i and i + 1 differ in column j + 1 exactly when an odd number
-    of the squares left of it in board row i are black."""
-    width = n - 1
-    rows = [[0] * n]
-    for black in (code[:width], code[width:]):
-        above, row, odd = rows[-1], [0], 0
-        for j in range(width):
-            odd ^= black[j]
-            row.append(above[j + 1] ^ odd)
-        rows.append(row)
-    return rows
-
-
 def _orbit_lanes(code: Sequence[int], width: int, full: int) -> tuple[int, int, int]:
     """(least, fixed_by_all, fixed_by_one) over the codes' symmetry orbits.
 
@@ -368,7 +353,7 @@ def _scan_chunk(args: tuple[int, int, int, int, bool]) -> tuple:
     Returns (worst, worst_code, attain, exemplars, violations, evaluated):
     the largest board minimum and the first code reaching it, the orbit
     weight of the boards whose minimum equals the bound and the first 8 of
-    them, the boards above it, and the number of boards scanned.
+    them, the first 8 boards above it, and the number of boards scanned.
 
     Every board of the range is a lane of ``travels._min_lanes``, which
     gives each its exact minimum; the tuple is read off the minima with
@@ -376,11 +361,11 @@ def _scan_chunk(args: tuple[int, int, int, int, bool]) -> tuple:
     weighted by the orbit's size, but every lane is still computed.
     """
     n, start, stop, bound, prune = args
-    full = (1 << (stop - start)) - 1
-    code = _code_planes(start, stop, 2 * (n - 1))
-    least = _min_lanes(_entry_planes(code, n), n, full)
+    width, full = n - 1, (1 << (stop - start)) - 1
+    code = _code_planes(start, stop, 2 * width)
+    least = _min_lanes(canonical_planes([code[:width], code[width:]]), n, full)
     evaluated, fixed_by_all, fixed_by_one = (
-        _orbit_lanes(code, n - 1, full) if prune else (full, full, full)
+        _orbit_lanes(code, width, full) if prune else (full, full, full)
     )
     at = []  # at[v]: the evaluated lanes whose minimum is v
     for value in range(n + 1):
@@ -400,13 +385,14 @@ def _scan_chunk(args: tuple[int, int, int, int, bool]) -> tuple:
         + 2 * (attained ^ (attained & fixed_by_one)).bit_count()
     )
     exemplars = list(islice(_codes(attained, start), 8))
-    return worst, worst_code, attain, exemplars, list(_codes(above, start)), evaluated.bit_count()
+    violations = list(islice(_codes(above, start), 8))
+    return worst, worst_code, attain, exemplars, violations, evaluated.bit_count()
 
 
 def _rank3_scan(n: int, bound: int, prune: bool, workers: int) -> tuple:
     """Every 2 x (n-1) board in tasks of CHUNK_CODES codes, merged in code
     order: the ``_scan_chunk`` tuple of the whole code range, with at most
-    8 exemplars.  The result does not depend on `workers`."""
+    8 exemplars and 8 violations.  The result does not depend on `workers`."""
     total = 1 << (2 * (n - 1))
     tasks = [
         (n, lo, min(lo + CHUNK_CODES, total), bound, prune)
@@ -420,7 +406,7 @@ def _rank3_scan(n: int, bound: int, prune: bool, workers: int) -> tuple:
         exemplars.extend(ex)
         violations.extend(vi)
         evaluated += ev
-    return worst, worst_code, attain, exemplars[:8], violations, evaluated
+    return worst, worst_code, attain, exemplars[:8], violations[:8], evaluated
 
 
 def exhaustive_rank3_scan(
@@ -446,7 +432,7 @@ def exhaustive_rank3_scan(
     )
 
     witnesses = []
-    for code in ([worst_code] if worst_code >= 0 else []) + violations[:8]:
+    for code in ([worst_code] if worst_code >= 0 else []) + violations:
         matrix = canonical_matrix(_board_from_code(n, code))
         observed, travel = min_interior(matrix)
         params = (("n", n), ("board", code))

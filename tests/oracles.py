@@ -343,8 +343,9 @@ def parallel_rule_check(matrix: SignMatrix) -> bool:
 # entry by entry and a Travel per board code, and the symmetry orbit by
 # unpacking the code into bit lists.  This is the per-board path that
 # lomlab.verifier._scan_chunk replaced with one lane kernel per chunk (code
-# planes, entry planes and bit-sliced orbit compares), and that
-# chessboard.canonical_row_masks replaced for every board.
+# planes, chessboard.canonical_planes and bit-sliced orbit compares);
+# reference_canonical_matrix is the entry-by-entry parity rule that the tests
+# compare canonical_planes with, for one board and for a chunk.
 
 
 def reference_board_from_code(n: int, code: int) -> Chessboard:
@@ -411,7 +412,7 @@ def reference_scan_chunk(args):
             attain += weight
             if len(exemplars) < 8:
                 exemplars.append(code)
-        if value > bound:
+        if value > bound and len(violations) < 8:
             violations.append(code)
     return worst, worst_code, attain, exemplars, violations, evaluated
 

@@ -10,13 +10,14 @@ from lomlab.chessboard import (
     board_from_sequence,
     board_of,
     canonical_matrix,
+    canonical_planes,
     corners_for,
     realize_sequence,
 )
 from lomlab.sign_matrix import SignMatrix, reorient
 from lomlab.travels import min_interior
 
-from oracles import parallel_rule_check, random_sign_matrix
+from oracles import parallel_rule_check, random_sign_matrix, reference_canonical_matrix
 
 
 def all_sequences(r, n):
@@ -109,6 +110,37 @@ def test_canonical_matrix_round_trips_raw_bitmaps():
         assert matrix.rows[0] == (1,) * 7
         assert all(row[0] == 1 for row in matrix.rows)
         assert board_of(matrix) == board
+
+
+@pytest.mark.parametrize("max_lanes", [1, 64])
+def test_canonical_planes_match_reference_on_every_lane(max_lanes):
+    # seeded batches of random boards with 1..6 rows and 1..10 columns:
+    # lane l of the planes is board l's canonical matrix.  A SignMatrix
+    # needs n >= r, so a board with fewer columns than rows is checked
+    # through its transpose, under which the parity rule is symmetric.
+    def reference_rows(board):
+        if board.cols >= board.rows:
+            return reference_canonical_matrix(board).rows
+        transposed = Chessboard(tuple(zip(*board.black)))
+        return tuple(zip(*reference_canonical_matrix(transposed).rows))
+
+    rng = random.Random(1200 + max_lanes)
+    for rows in range(1, 7):
+        for cols in range(1, 11):
+            boards = [
+                Chessboard(
+                    tuple(tuple(rng.random() < 0.5 for _ in range(cols)) for _ in range(rows))
+                )
+                for _ in range(rng.randint(1, max_lanes))
+            ]
+            black = [
+                [sum(b.black[i][j] << lane for lane, b in enumerate(boards)) for j in range(cols)]
+                for i in range(rows)
+            ]
+            planes = canonical_planes(black)
+            for lane, board in enumerate(boards):
+                entries = tuple(tuple(-1 if e >> lane & 1 else 1 for e in row) for row in planes)
+                assert entries == reference_rows(board), (rows, cols, lane)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from lomlab.chessboard import canonical_matrix, corners_for
@@ -294,17 +296,20 @@ def test_exploration_report_text():
 
 
 def test_code_masks_match_canonical_matrix_rows():
-    # every board's canonical matrix, and its lane of the chunk kernel's
-    # entry planes, on one range per n that starts off a chunk boundary
+    # every board's canonical matrix, and its lane of the canonical planes
+    # of the chunk's code planes, on one range per n that starts off a
+    # chunk boundary
+    from lomlab.chessboard import canonical_planes
     from lomlab.travels import _row_masks
-    from lomlab.verifier import _board_from_code, _code_planes, _entry_planes
+    from lomlab.verifier import _board_from_code, _code_planes
 
     from oracles import reference_board_from_code, reference_canonical_matrix
 
     for n in range(5, 9):
-        total = 1 << (2 * (n - 1))
+        width, total = n - 1, 1 << (2 * (n - 1))
         start, stop = total // 5, total // 5 + 300
-        planes = _entry_planes(_code_planes(start, stop, 2 * (n - 1)), n)
+        squares = _code_planes(start, stop, 2 * width)
+        planes = canonical_planes([squares[:width], squares[width:]])
         for code in range(total):
             matrix = canonical_matrix(_board_from_code(n, code))
             assert matrix == reference_canonical_matrix(reference_board_from_code(n, code))
@@ -328,6 +333,19 @@ def test_scan_chunk_matches_public_path(n, prune):
         for bound in range(n + 1):
             args = (n, start, stop, bound, prune)
             assert _scan_chunk(args) == reference_scan_chunk(args), (start, bound)
+
+
+def test_rank3_scan_keeps_the_first_8_violations(monkeypatch):
+    # bound 0 is below most boards' minimum: the scan keeps only the first
+    # 8 codes above it, also when they come from several tasks
+    from lomlab import verifier
+
+    from oracles import reference_board_minimum
+
+    for n, chunk in ((8, verifier.CHUNK_CODES), (6, 4)):
+        monkeypatch.setattr(verifier, "CHUNK_CODES", chunk)
+        above = (c for c in range(1 << (2 * (n - 1))) if reference_board_minimum(n, c) > 0)
+        assert verifier._rank3_scan(n, 0, False, 1)[4] == list(islice(above, 8)), n
 
 
 def test_theorem_board_table_matches_hand_inversion():
