@@ -2,6 +2,9 @@
 
 Subcommands: verify, bounds, radon, matrix, scan.  Exit codes: 0 pass,
 1 a check found a violating instance, 2 usage error, 3 bad input data.
+The handlers raise and ``main`` alone maps what they raise to an exit code
+and a one-line message on stderr; internal invariants (AssertionError,
+ArithmeticError) stay tracebacks.
 Reports append to files named by subcommand and parameter hash so long runs
 stay diffable; identical invocations (including seed) append byte-identical
 blocks.  Wall time goes to stdout only.
@@ -13,6 +16,7 @@ import argparse
 import functools
 import hashlib
 import sys
+from itertools import combinations
 from pathlib import Path
 
 from . import bounds as bounds_mod
@@ -142,27 +146,21 @@ def _emit_fixtures(args, report: verifier.VerificationReport, out_dir: Path) -> 
 def _cmd_verify(args) -> int:
     reports: list[verifier.VerificationReport] = []
     hash_parts = ["verify", args.theorem, str(args.t), str(args.r), str(args.n), str(args.seed)]
-    try:
-        if args.theorem in THEOREM_IDS:
+    if args.theorem in THEOREM_IDS:
+        reports.append(verifier.verify_lower(args.theorem, args.t, args.r, workers=args.workers))
+    elif args.theorem == "counterexamples":
+        for which in sorted(verifier.COUNTEREXAMPLES):
+            reports.append(verifier.reproduce_counterexample(which))
+    else:
+        ns = args.n or [5]
+        for n in ns:
+            verifier.check_rank3_n(n)  # refuse the whole range before scanning
+        for n in ns:
             reports.append(
-                verifier.verify_lower(args.theorem, args.t, args.r, workers=args.workers)
-            )
-        elif args.theorem == "counterexamples":
-            for which in sorted(verifier.COUNTEREXAMPLES):
-                reports.append(verifier.reproduce_counterexample(which))
-        else:
-            ns = args.n or [5]
-            for n in ns:
-                verifier.check_rank3_n(n)  # refuse the whole range before scanning
-            for n in ns:
-                reports.append(
-                    verifier.exhaustive_rank3_scan(
-                        n, symmetry_prune=args.symmetry_prune, workers=args.workers
-                    )
+                verifier.exhaustive_rank3_scan(
+                    n, symmetry_prune=args.symmetry_prune, workers=args.workers
                 )
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+            )
 
     name = f"verify-{args.theorem}-{_param_hash(hash_parts)}.txt"
     body = f"seed: {args.seed}\n" + "".join(r.to_text() for r in reports)
@@ -197,17 +195,13 @@ def _bound_cell(table: str, n: int, d: int) -> tuple[str, str, str]:
 
 def _cmd_bounds(args) -> int:
     lines = ["n\td\tkind\tvalue\tclause"]
-    try:
-        for d in args.d:
-            for n in args.n:
-                try:
-                    kind, shown, clause = _bound_cell(args.table, n, d)
-                except ValueError as exc:
-                    kind, shown, clause = ("error", "-", str(exc))
-                lines.append(f"{n}\t{d}\t{kind}\t{shown}\t{clause}")
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    for d in args.d:
+        for n in args.n:
+            try:
+                kind, shown, clause = _bound_cell(args.table, n, d)
+            except ValueError as exc:
+                kind, shown, clause = ("error", "-", str(exc))
+            lines.append(f"{n}\t{d}\t{kind}\t{shown}\t{clause}")
     table_text = "\n".join(lines) + "\n"
     sys.stdout.write(table_text)
     if args.out is not None:
@@ -216,87 +210,60 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _load_points(path: Path) -> galerad.PointConfig:
-    return galerad.PointConfig.from_text(path.read_text())
-
-
 def _cmd_radon(args) -> int:
-    try:
-        config = _load_points(args.points)
-    except FileNotFoundError:
-        print(f"data error: no such file {args.points}", file=sys.stderr)
-        return DATA_ERROR
-    except (galerad.PointFormatError, galerad.GeneralPositionError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-
+    config = galerad.PointConfig.from_text(args.points.read_text())
     lines = [f"points: {args.points}", f"n: {config.n}", f"d: {config.dim}", f"seed: {args.seed}"]
-    try:
-        if args.mode == "count":
-            if not args.coloring:
-                print("usage error: count needs --coloring", file=sys.stderr)
-                return USAGE_ERROR
+    rc = 0
+    if args.mode == "count":
+        if not args.coloring:
+            raise ValueError("count needs --coloring")
+        coloring = galerad.Coloring.from_string(args.coloring)
+        value = galerad.count_induced(config, coloring)
+        lines.append(f"coloring: {coloring.to_string()}")
+        lines.append(f"count: {value}")
+        if args.trace:
+            subsets = combinations(range(1, config.n + 1), config.dim + 2)
+            for sub, hit in zip(subsets, galerad.induced_flags(config, coloring)):
+                lines.append(f"subset {','.join(map(str, sub))}: {'induced' if hit else 'no'}")
+        summary = f"count = {value}"
+    elif args.mode == "maximize":
+        value, witness = galerad.max_r(config)
+        lines.append(f"max_count: {value}")
+        lines.append(f"witness: {witness.to_string()}")
+        summary = f"max = {value} witness {witness.to_string()}"
+    elif args.mode == "lift":
+        if args.coloring:
             coloring = galerad.Coloring.from_string(args.coloring)
-            value = galerad.count_induced(config, coloring)
-            lines.append(f"coloring: {coloring.to_string()}")
-            lines.append(f"count: {value}")
-            if args.trace:
-                from itertools import combinations
-
-                subsets = combinations(range(1, config.n + 1), config.dim + 2)
-                for sub, hit in zip(subsets, galerad.induced_flags(config, coloring)):
-                    lines.append(
-                        f"subset {','.join(map(str, sub))}: {'induced' if hit else 'no'}"
-                    )
-            summary = f"count = {value}"
-        elif args.mode == "maximize":
-            value, witness = galerad.max_r(config)
-            lines.append(f"max_count: {value}")
-            lines.append(f"witness: {witness.to_string()}")
-            summary = f"max = {value} witness {witness.to_string()}"
-        elif args.mode == "lift":
-            if args.coloring:
-                coloring = galerad.Coloring.from_string(args.coloring)
-            else:
-                _, coloring = galerad.max_r(config)
-            before = galerad.count_induced(config, coloring)
-            lifted, lifted_coloring = galerad.lift_unbalanced(config, coloring)
-            after = galerad.count_induced(lifted, lifted_coloring)
-            lines.append(f"coloring: {coloring.to_string()}")
-            lines.append(f"count_before: {before}")
-            lines.append(f"count_after: {after}")
-            lines.append(f"lifted_coloring: {lifted_coloring.to_string()}")
-            lines.append("lifted_points:")
-            lines.extend("  " + line for line in lifted.to_text().splitlines())
-            if before != after:
-                lines.append("verdict: fail")
-                summary = f"lift count mismatch {before} != {after}"
-                _append_report(args.out, _radon_report_name(args), "\n".join(lines) + "\n")
-                print(summary)
-                return 1
+        else:
+            _, coloring = galerad.max_r(config)
+        before = galerad.count_induced(config, coloring)
+        lifted, lifted_coloring = galerad.lift_unbalanced(config, coloring)
+        after = galerad.count_induced(lifted, lifted_coloring)
+        lines.append(f"coloring: {coloring.to_string()}")
+        lines.append(f"count_before: {before}")
+        lines.append(f"count_after: {after}")
+        lines.append(f"lifted_coloring: {lifted_coloring.to_string()}")
+        lines.append("lifted_points:")
+        lines.extend("  " + line for line in lifted.to_text().splitlines())
+        if before != after:
+            rc = 1
+            lines.append("verdict: fail")
+            summary = f"lift count mismatch {before} != {after}"
+        else:
             lines.append("verdict: pass")
             summary = f"lift ok, count {after}, sizes (1, {config.n - 1})"
-        else:  # gale
-            transform = galerad.gale_transform(config)
-            lines.append(f"dual_dim: {config.n - config.dim - 1}")
-            lines.append("vectors:")
-            for i, vec in enumerate(transform.vectors, start=1):
-                lines.append(f"  {i}: " + " ".join(str(c) for c in vec))
-            summary = f"gale transform into dimension {config.n - config.dim - 1}"
-    except galerad.LiftSeparationError as exc:
-        print(f"lift not applicable: {exc}", file=sys.stderr)
-        return 1
-    except (galerad.GeneralPositionError, galerad.DegenerateSpanError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    else:  # gale
+        transform = galerad.gale_transform(config)
+        lines.append(f"dual_dim: {config.n - config.dim - 1}")
+        lines.append("vectors:")
+        for i, vec in enumerate(transform.vectors, start=1):
+            lines.append(f"  {i}: " + " ".join(str(c) for c in vec))
+        summary = f"gale transform into dimension {config.n - config.dim - 1}"
 
     path = _append_report(args.out, _radon_report_name(args), "\n".join(lines) + "\n")
     print(summary)
     print(f"report appended to {path}")
-    return 0
+    return rc
 
 
 def _radon_report_name(args) -> str:
@@ -305,21 +272,9 @@ def _radon_report_name(args) -> str:
 
 
 def _cmd_matrix(args) -> int:
-    try:
-        matrix = SignMatrix.from_text(args.matrix.read_text())
-    except FileNotFoundError:
-        print(f"data error: no such file {args.matrix}", file=sys.stderr)
-        return DATA_ERROR
-    except MatrixFormatError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return DATA_ERROR
+    matrix = SignMatrix.from_text(args.matrix.read_text())
     if args.reorient:
-        try:
-            cols = [int(c) for c in args.reorient.split(",") if c]
-            matrix = reorient(matrix, cols)
-        except ValueError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+        matrix = reorient(matrix, [int(c) for c in args.reorient.split(",") if c])
     print(f"matrix: {matrix.r} x {matrix.n}")
     print(f"top travel: {top_travel(matrix).to_text()}")
     print(f"bottom travel: {bottom_travel(matrix).to_text()}")
@@ -337,11 +292,7 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_scan(args) -> int:
     budget = None if args.exhaustive else args.budget
-    try:
-        result = verifier.search_small_topes(args.r, args.n, budget=budget, seed=args.seed)
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    result = verifier.search_small_topes(args.r, args.n, budget=budget, seed=args.seed)
     parts = ["scan", str(args.r), str(args.n), str(budget), str(args.seed)]
     path = _append_report(args.out, f"scan-{_param_hash(parts)}.txt", result.to_text())
     print(result.summary())
@@ -349,20 +300,48 @@ def _cmd_scan(args) -> int:
     return 0
 
 
+COMMANDS = {
+    "verify": _cmd_verify,
+    "bounds": _cmd_bounds,
+    "radon": _cmd_radon,
+    "matrix": _cmd_matrix,
+    "scan": _cmd_scan,
+}
+
+# Every library error here is a ValueError; these are the ones about the
+# input files' contents.  The order of main's clauses matters.
+_DATA_ERRORS = (
+    MatrixFormatError,
+    galerad.PointFormatError,
+    galerad.GeneralPositionError,
+    galerad.DegenerateSpanError,
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "bounds":
-        return _cmd_bounds(args)
-    if args.command == "radon":
-        return _cmd_radon(args)
-    if args.command == "matrix":
-        return _cmd_matrix(args)
-    return _cmd_scan(args)
+    try:
+        return COMMANDS[args.command](args)
+    except galerad.LiftSeparationError as exc:
+        print(f"lift not applicable: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        if isinstance(exc, FileNotFoundError):
+            print(f"data error: no such file {exc.filename}", file=sys.stderr)
+        else:
+            print(f"data error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return DATA_ERROR
+    except _DATA_ERRORS as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return DATA_ERROR
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

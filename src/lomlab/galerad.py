@@ -196,6 +196,8 @@ class PointConfig:
             n, d = int(head[0]), int(head[1])
         except ValueError as exc:
             raise PointFormatError(f"non-integer header {lines[0]!r}") from exc
+        if n < 1 or d < 1:
+            raise PointFormatError(f"header {lines[0]!r} needs n >= 1 and d >= 1")
         if len(lines) != n + 1:
             raise PointFormatError(f"expected {n} point lines, got {len(lines) - 1}")
         rows = []

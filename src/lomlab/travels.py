@@ -291,9 +291,7 @@ def _close(
         i, j = i - 1, rise
 
 
-def _scan(
-    masks: Sequence[int], n: int, include_trivial: bool = True
-) -> Iterator[tuple[tuple[int, ...], int, int]]:
+def _scan(masks: Sequence[int], n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """The class-scan kernel: (drops, flips, interior) per acyclic class.
 
     `masks` are the matrix rows as bitmasks.  The drop prefixes are walked
@@ -337,9 +335,8 @@ def _scan(
                     closed, interior = _close(masks, turns, tops, n, k + 1, b, below, flips | step)
                     yield drops + (b + 1,), closed, interior
                 tops[k + 2] = 0
-        if drops or include_trivial:
-            closed, interior = _close(masks, turns, tops, n, k, a, pivot, flips)
-            yield drops, closed, interior
+        closed, interior = _close(masks, turns, tops, n, k, a, pivot, flips)
+        yield drops, closed, interior
         if k < max_drops:
             # the child dropping at column n: its last segment is empty
             step, below, tops[k + 1] = _drop_step(masks[k], masks[k + 1], a, last, pivot)
@@ -348,9 +345,7 @@ def _scan(
         tops[k + 1] = 0
 
 
-def scan_classes(
-    matrix: SignMatrix, include_trivial: bool = True
-) -> Iterator[tuple[tuple[int, ...], int, int]]:
+def scan_classes(matrix: SignMatrix) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Stream (drops, flips, interior) over the acyclic reorientation classes.
 
     Classes come in the kernel's order, the lexicographic order of
@@ -360,7 +355,7 @@ def scan_classes(
     bitmasks (bit j for column j + 1), the canonical reorientation and the
     interior set of the reoriented matrix.
     """
-    return _scan(_row_masks(matrix.rows), matrix.n, include_trivial)
+    return _scan(_row_masks(matrix.rows), matrix.n)
 
 
 def _class_of(masks: Sequence[int], n: int, drops: Sequence[int]) -> tuple[int, int]:
@@ -379,26 +374,19 @@ def _class_of(masks: Sequence[int], n: int, drops: Sequence[int]) -> tuple[int, 
     return _close(masks, _turn_masks(masks), tops, n, k, a, pivot, flips)
 
 
-def _min_class(
-    masks: Sequence[int], n: int, include_trivial: bool = True
-) -> tuple[int, tuple[int, ...]]:
+def _min_class(masks: Sequence[int], n: int) -> tuple[int, tuple[int, ...]]:
     """Least interior count over the classes and the first drops reaching it.
 
     The scan stops at the first class with no interior element, since no
     class can have fewer.
     """
     best, best_drops = n + 1, None
-    for drops, _, interior in _scan(masks, n, include_trivial):
+    for drops, _, interior in _scan(masks, n):
         count = interior.bit_count()
         if count < best:
             if not count:
                 return count, drops
             best, best_drops = count, drops
-    if best_drops is None:
-        raise ValueError(
-            f"a rank-{len(masks)} matrix has no plain travels; "
-            "scan it with include_trivial=True"
-        )
     return best, best_drops
 
 
@@ -584,8 +572,9 @@ def enumerate_plain_travels(r: int, n: int, include_trivial: bool = False) -> It
     lexicographic position, so a scan over the stream covers every acyclic
     reorientation class.
     """
-    for drops, _, _ in _scan([0] * r, n, include_trivial):
-        yield plain_travel(r, n, drops)
+    for drops, _, _ in _scan([0] * r, n):
+        if drops or include_trivial:
+            yield plain_travel(r, n, drops)
 
 
 def count_plain_travels(r: int, n: int) -> int:
@@ -620,15 +609,13 @@ def reorientation_for_pt(matrix: SignMatrix, travel: Travel) -> frozenset[int]:
     return _columns(_class_of(_row_masks(matrix.rows), matrix.n, drops)[0])
 
 
-def min_interior(matrix: SignMatrix, include_trivial: bool = True) -> tuple[int, Travel]:
+def min_interior(matrix: SignMatrix) -> tuple[int, Travel]:
     """Minimum interior count over the acyclic reorientation classes.
 
-    Every plain travel (and by default the degenerate one-segment shape,
-    which indexes the remaining acyclic class) is realized as a top travel
-    via its canonical reorientation and the interior elements are counted.
+    Every plain travel and the degenerate one-segment shape, which indexes
+    the remaining acyclic class, is realized as a top travel via its
+    canonical reorientation and the interior elements are counted.
     Returns the minimum and the lexicographically smallest witness shape.
-    A rank-1 matrix has no plain travels, so scanning it without the
-    one-segment shape raises ValueError.
     """
-    count, drops = _min_class(_row_masks(matrix.rows), matrix.n, include_trivial)
+    count, drops = _min_class(_row_masks(matrix.rows), matrix.n)
     return count, plain_travel(matrix.r, matrix.n, drops)

@@ -247,7 +247,7 @@ def reproduce_counterexample(which: str) -> VerificationReport:
     found: tuple[int, ...] | None = None
     best = n + 1
     scanned = 0
-    for drops, _, interior in scan_classes(matrix, include_trivial=True):
+    for drops, _, interior in scan_classes(matrix):
         scanned += 1
         best = min(best, interior.bit_count())
         if found is None and interior == target_mask:
@@ -516,7 +516,7 @@ def search_small_topes(
 
     budget counts random boards tried beyond the default candidates (the
     matching named construction when one exists, otherwise the all-white
-    board).  budget=None scans every board of the exhaustive rank-3 box and
+    board); a negative budget is refused.  budget=None scans every board of the exhaustive rank-3 box and
     is refused for r != 3 and for n outside 5 <= n <= RANK3_MAX_N; it runs
     the symmetry-pruned tasks of exhaustive_rank3_scan on every available
     CPU, and the best board is the first code reaching the maximum.
@@ -525,6 +525,8 @@ def search_small_topes(
         raise ValueError("search needs r >= 3")
     if n < r:
         raise ValueError("search needs n >= r")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     if budget is None:
         if r != 3:
             raise ValueError("exhaustive board search is only feasible for r = 3")

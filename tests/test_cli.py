@@ -6,17 +6,29 @@ from lomlab.cli import main
 from lomlab.galerad import Coloring, PointConfig, is_radon_pair
 
 
+INPUTS = {
+    "line5.txt": "5 1\n0\n1\n2\n3\n4\n",
+    "square.txt": "4 2\n0 0\n1 0\n0 1\n1 1\n",
+    "triangle.txt": "3 2\n0 0\n1 0\n0 1\n",
+    "collinear.txt": "3 2\n0 0\n1 1\n2 2\n",
+    "no-points.txt": "0 2\n",
+    "line23.txt": "23 1\n" + "".join(f"{i}\n" for i in range(23)),
+    "m.txt": "2 3\n+-+\n+++\n",
+    "bad-m.txt": "2 3\n+-+\n+*+\n",
+}
+
+
 @pytest.fixture()
 def line5(tmp_path):
     path = tmp_path / "line5.txt"
-    path.write_text("5 1\n0\n1\n2\n3\n4\n")
+    path.write_text(INPUTS["line5.txt"])
     return path
 
 
 @pytest.fixture()
 def square(tmp_path):
     path = tmp_path / "square.txt"
-    path.write_text("4 2\n0 0\n1 0\n0 1\n1 1\n")
+    path.write_text(INPUTS["square.txt"])
     return path
 
 
@@ -57,14 +69,6 @@ def test_verify_default_workers_is_the_affinity_count(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
     args = cli._build_parser().parse_args(["verify", "dim2", "--t", "0"])
     assert args.workers == 1
-
-
-def test_verify_bad_range_is_usage_error(tmp_path, capsys):
-    code, _, stderr = run(
-        ["verify", "dim2", "--t=-1..0", "--out", str(tmp_path / "r")], capsys
-    )
-    assert code == 2
-    assert "usage error" in stderr
 
 
 def test_verify_reports_are_append_only_and_deterministic(tmp_path, capsys):
@@ -196,42 +200,10 @@ def test_radon_count_trace_lines_match_is_radon_pair(points, coloring, tmp_path,
     assert f"count: {induced}" in lines
 
 
-def test_radon_count_needs_coloring(square, tmp_path, capsys):
-    code, _, stderr = run(
-        ["radon", str(square), "count", "--out", str(tmp_path / "r")], capsys
-    )
-    assert code == 2
-    assert "usage error" in stderr
-
-
-def test_radon_degenerate_points_exit_3(tmp_path, capsys):
-    bad = tmp_path / "collinear.txt"
-    bad.write_text("3 2\n0 0\n1 1\n2 2\n")
-    code, _, stderr = run(["radon", str(bad), "maximize", "--out", str(tmp_path / "r")], capsys)
-    assert code == 3
-    assert "affinely dependent" in stderr
-
-
-def test_radon_missing_file_exit_3(tmp_path, capsys):
-    code, _, _ = run(
-        ["radon", str(tmp_path / "nope.txt"), "maximize", "--out", str(tmp_path / "r")],
-        capsys,
-    )
-    assert code == 3
-
-
 def test_radon_gale(square, tmp_path, capsys):
     code, stdout, _ = run(["radon", str(square), "gale", "--out", str(tmp_path / "r")], capsys)
     assert code == 0
     assert "dual_dim: 1" in stdout or "gale transform into dimension 1" in stdout
-
-
-def test_radon_lift_reports_inapplicable_cleanly(line5, tmp_path, capsys):
-    code, _, stderr = run(
-        ["radon", str(line5), "lift", "--out", str(tmp_path / "r")], capsys
-    )
-    assert code == 1
-    assert "lift not applicable" in stderr
 
 
 def test_matrix_inspect(tmp_path, capsys):
@@ -241,13 +213,6 @@ def test_matrix_inspect(tmp_path, capsys):
     assert code == 0
     assert "top travel: 1:1-2;2:2-3" in stdout
     assert "acyclic: yes" in stdout
-
-
-def test_matrix_bad_file_exit_3(tmp_path, capsys):
-    path = tmp_path / "m.txt"
-    path.write_text("2 3\n+-+\n+*+\n")
-    code, _, _ = run(["matrix", str(path)], capsys)
-    assert code == 3
 
 
 def test_scan_smoke(tmp_path, capsys):
@@ -292,4 +257,78 @@ def test_scan_exhaustive_refuses_n_outside_rank3_box(tmp_path, capsys):
     )
     assert code == 2
     assert f"5 <= n <= {RANK3_MAX_N}" in stderr
+    assert not out.exists()
+
+
+# (argv, exit code, stderr prefix): every error path ends in one stderr line
+# from main and writes no report.  {tmp} is the directory holding INPUTS.
+EXIT_CASES = [
+    pytest.param(
+        ["radon", "{tmp}/nope.txt", "maximize"], 3, "data error: no such file {tmp}/nope.txt\n",
+        id="radon-missing-file",
+    ),
+    pytest.param(
+        ["radon", "{tmp}", "maximize"], 3, "data error: {tmp}: Is a directory\n",
+        id="radon-directory",
+    ),
+    pytest.param(
+        ["radon", "{tmp}/no-points.txt", "maximize"], 3,
+        "data error: header '0 2' needs n >= 1 and d >= 1", id="radon-no-points",
+    ),
+    pytest.param(
+        ["radon", "{tmp}/collinear.txt", "maximize"], 3,
+        "data error: points (1, 2, 3) are affinely dependent", id="radon-collinear",
+    ),
+    pytest.param(
+        ["radon", "{tmp}/triangle.txt", "gale"], 3,
+        "data error: need n >= d + 2 for a Gale transform", id="radon-gale-too-few-points",
+    ),
+    pytest.param(
+        ["radon", "{tmp}/line5.txt", "lift"], 1, "lift not applicable: ", id="radon-lift-line5"
+    ),
+    pytest.param(
+        ["radon", "{tmp}/square.txt", "count"], 2, "usage error: count needs --coloring\n",
+        id="radon-count-needs-coloring",
+    ),
+    pytest.param(
+        ["radon", "{tmp}/square.txt", "count", "--coloring", "RBR"], 2,
+        "usage error: coloring length must match", id="radon-coloring-length",
+    ),
+    pytest.param(
+        ["radon", "{tmp}/line23.txt", "maximize"], 2,
+        "usage error: exhaustive search is capped at 22 points", id="radon-maximize-n23",
+    ),
+    pytest.param(["matrix", "{tmp}"], 3, "data error: {tmp}: Is a directory\n", id="matrix-directory"),
+    pytest.param(["matrix", "{tmp}/bad-m.txt"], 3, "data error: bad row", id="matrix-bad-file"),
+    pytest.param(
+        ["matrix", "{tmp}/m.txt", "--reorient", "9"], 2, "usage error: column 9 outside [1, 3]\n",
+        id="matrix-reorient-9",
+    ),
+    pytest.param(
+        ["matrix", "{tmp}/m.txt", "--reorient", "x"], 2, "usage error: invalid literal for int()",
+        id="matrix-reorient-x",
+    ),
+    pytest.param(
+        ["verify", "dim2", "--t=-1..0"], 2, "usage error: dim2 construction requires t >= 0\n",
+        id="verify-negative-t",
+    ),
+    pytest.param(
+        ["scan", "--r", "3", "--n", "6", "--budget", "-1"], 2,
+        "usage error: budget must be >= 0, got -1\n", id="scan-negative-budget",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, prefix", EXIT_CASES)
+def test_error_exit_codes(argv, code, prefix, tmp_path, capsys):
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "out"
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if argv[0] != "matrix":
+        argv += ["--out", str(out)]
+    got, stdout, stderr = run(argv, capsys)
+    assert (got, stdout) == (code, "")
+    assert stderr.startswith(prefix.format(tmp=tmp_path))
+    assert stderr.count("\n") == 1
     assert not out.exists()

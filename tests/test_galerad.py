@@ -75,6 +75,9 @@ def test_point_text_errors():
         PointConfig.from_text("2 2\n0 0\n1\n")
     with pytest.raises(PointFormatError):
         PointConfig.from_text("1 1\nx\n")
+    for header in ("0 2", "0 0", "2 0", "-1 2"):
+        with pytest.raises(PointFormatError, match="needs n >= 1 and d >= 1"):
+            PointConfig.from_text(header + "\n")
 
 
 def test_random_config_is_reproducible():

@@ -301,11 +301,6 @@ def test_min_interior_all_plus_3x5_is_zero_via_identity_class():
     assert witness.segments == ((1, 1, 5),)
 
 
-def test_min_interior_excluding_identity_class():
-    count, _ = min_interior(SignMatrix.constant(3, 5), include_trivial=False)
-    assert count == 1
-
-
 def test_min_interior_is_order_independent():
     from lomlab.chessboard import realize_sequence
 
@@ -320,9 +315,7 @@ def test_min_interior_is_order_independent():
     assert best[1] == witness.breakpoints
 
 
-def test_min_interior_rank1_without_trivial_class_is_refused():
-    with pytest.raises(ValueError, match="include_trivial=True"):
-        min_interior(SignMatrix.constant(1, 4), include_trivial=False)
+def test_min_interior_rank1_is_the_one_segment_class():
     count, witness = min_interior(SignMatrix.constant(1, 4))
     assert (count, witness.segments) == (4, ((1, 1, 4),))
 
@@ -331,10 +324,10 @@ def _columns(mask):
     return frozenset(j + 1 for j in range(mask.bit_length()) if (mask >> j) & 1)
 
 
-def _kernel_scan(matrix, include_trivial):
+def _kernel_scan(matrix):
     return [
         (drops, _columns(flips), _columns(interior))
-        for drops, flips, interior in scan_classes(matrix, include_trivial)
+        for drops, flips, interior in scan_classes(matrix)
     ]
 
 
@@ -348,13 +341,13 @@ def sign_matrices(draw, ranks=(2, 7), max_n=12):
     )
 
 
-@given(sign_matrices(), st.booleans())
+@given(sign_matrices())
 @settings(max_examples=150, deadline=None)
-def test_scan_kernel_matches_reference_loop(matrix, include_trivial):
+def test_scan_kernel_matches_reference_loop(matrix):
     # every class: drops in the same order, the same flips, the same interior
-    assert _kernel_scan(matrix, include_trivial) == list(reference_scan(matrix, include_trivial))
-    count, witness = min_interior(matrix, include_trivial)
-    assert (count, witness.drop_columns) == reference_min_interior(matrix, include_trivial)
+    assert _kernel_scan(matrix) == list(reference_scan(matrix, True))
+    count, witness = min_interior(matrix)
+    assert (count, witness.drop_columns) == reference_min_interior(matrix)
     assert witness.segments == plain_travel(matrix.r, matrix.n, witness.drop_columns).segments
 
 
@@ -364,7 +357,7 @@ def test_scan_kernel_matches_reference_on_every_rank3_n7_board():
 
     for code in range(1 << 12):
         matrix = canonical_matrix(_board_from_code(7, code))
-        assert _kernel_scan(matrix, True) == list(reference_scan(matrix, True)), code
+        assert _kernel_scan(matrix) == list(reference_scan(matrix, True)), code
 
 
 def test_interleaved_scans_keep_their_own_state():
@@ -437,7 +430,7 @@ def _classes_match_single_class_evaluator(matrix):
     from lomlab.travels import _class_of, _row_masks, _scan
 
     masks = _row_masks(matrix.rows)
-    for drops, flips, interior in _scan(masks, matrix.n, True):
+    for drops, flips, interior in _scan(masks, matrix.n):
         assert _class_of(masks, matrix.n, drops) == (flips, interior), (matrix, drops)
 
 

@@ -280,6 +280,8 @@ def test_search_validation():
         search_small_topes(2, 6)
     with pytest.raises(ValueError):
         search_small_topes(4, 8, budget=None)
+    with pytest.raises(ValueError, match="budget must be >= 0, got -3"):
+        search_small_topes(3, 6, budget=-3)
     from lomlab.verifier import RANK3_MAX_N
 
     # outside the rank-3 scan box, refused before any board
