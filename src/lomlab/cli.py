@@ -144,6 +144,8 @@ def _emit_fixtures(args, report: verifier.VerificationReport, out_dir: Path) -> 
 
 
 def _cmd_verify(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     reports: list[verifier.VerificationReport] = []
     hash_parts = ["verify", args.theorem, str(args.t), str(args.r), str(args.n), str(args.seed)]
     if args.theorem in THEOREM_IDS:

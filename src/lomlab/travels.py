@@ -39,20 +39,16 @@ matrix itself whenever it is acyclic.  ``min_interior`` scans the plain
 travels plus that degenerate shape, so its minimum ranges over every acyclic
 reorientation class.
 
-Every class scan goes through one kernel, ``_scan``: a single generator
-frame that walks the drop columns depth first on an explicit stack, over
-int-bitmask rows.  Its walk is the one definition of the class order, the
-lexicographic order of breakpoints (drop columns, then n), and
-``enumerate_plain_travels`` is the kernel run on the all-plus matrix.
-``scan_classes`` runs it on a matrix and ``_min_class`` on raw row masks;
-``_min_class`` stops at the first class with no interior element, since
-no class has fewer.  Each class's top travel is its prescribed plain
-travel, so only the bottom travel is walked (in ``_close``, one
-``int.bit_length`` step per segment on the rows' turn masks), and
-criterion (c) becomes one AND per row of the two travels' masks of
-columns strictly inside a segment.  No table is kept per (r, n):
-a scan's state is its stack and one list of top-travel masks, set on
-descent and cleared on backtrack.
+The per-class scan is ``_scan``: a single generator frame that walks the
+drop columns depth first on an explicit stack, over int-bitmask rows.  Its
+walk is the one definition of the class order, the lexicographic order of
+breakpoints (drop columns, then n).  It serves ``scan_classes``, which
+yields each class's flips and interior set, and ``enumerate_plain_travels``,
+the scan of the all-plus matrix.  Each class's top travel is its
+prescribed plain travel, so only the bottom travel is walked (in
+``_close``, one ``int.bit_length`` step per segment on the rows' turn
+masks), and criterion (c) becomes one AND per row of the two travels'
+masks of columns strictly inside a segment.
 
 Two helpers make up every class: ``_drop_step`` adds one top-travel
 segment ending in a drop, and ``_close`` adds the last segment and walks
@@ -61,18 +57,30 @@ classes below it; ``_class_of`` evaluates a single class, one
 ``_drop_step`` per drop and then ``_close``.
 ``reorientation_for_pt`` and ``interior_elements`` are built on it.
 
-The rank-3 board scan evaluates a whole batch of matrices at once with
-``_min_lanes``, the lane kernel.  Its input is one int per matrix entry,
-a plane, whose bit l is that entry of the l-th matrix (lane l).  A class's
-top travel is the same on every lane, so each class in ``_scan``'s order
-costs one pass over the planes: the segment steps become xors of planes,
-the bottom travel is swept over lane masks, and the interior counts go
-into bit-sliced per-lane minima.  Every lane gets its exact minimum.
+Minima run on two lane kernels.  A plane is an int whose bit l stands for
+lane l, and both kernels hand the bottom travels to one sweep,
+``_sweep``, which walks them row by row over lane masks.
+
+* ``_min_lanes`` (the rank-3 board scan) runs a batch of matrices, one per
+  lane, through the classes in ``_scan``'s order.  A class's top travel is
+  the same on every lane: the flips and the rows' turns are per-lane
+  planes, criterion (c) is one column mask per row, and each class's
+  interior count goes into bit-sliced per-lane minima.
+* ``_class_lanes`` (``min_interior`` and the counterexample hunts) runs
+  one matrix with a class per lane.  The entries and turns are the same
+  on every lane; the drop columns, the flips and the segments are per-lane
+  planes, and the kernel returns one plane per column of the lanes on
+  which that column is interior.  The drop planes of a batch are built
+  from blocks of the class tree (``_class_sizes``, ``_block_drops``),
+  with no loop over its classes, and the batches of at most CLASS_LANES
+  classes come in class order, so ``min_interior`` can stop after the
+  first batch with a class that has no interior element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Iterator, Sequence
 
@@ -374,27 +382,12 @@ def _class_of(masks: Sequence[int], n: int, drops: Sequence[int]) -> tuple[int, 
     return _close(masks, _turn_masks(masks), tops, n, k, a, pivot, flips)
 
 
-def _min_class(masks: Sequence[int], n: int) -> tuple[int, tuple[int, ...]]:
-    """Least interior count over the classes and the first drops reaching it.
-
-    The scan stops at the first class with no interior element, since no
-    class can have fewer.
-    """
-    best, best_drops = n + 1, None
-    for drops, _, interior in _scan(masks, n):
-        count = interior.bit_count()
-        if count < best:
-            if not count:
-                return count, drops
-            best, best_drops = count, drops
-    return best, best_drops
-
-
 # ---------------------------------------------------------------------------
-# The lane kernel: one class on a whole batch of matrices at once.  Lane l is
-# the l-th matrix of the batch, and a plane is an int with bit l for lane l:
-# planes[i][j] has bit l set when entry (i + 1, j + 1) of lane l's matrix is
-# -1.  A per-lane number is a list of planes, least significant bit first.
+# The lane kernels.  A plane is an int with bit l for lane l, and a per-lane
+# number is a list of planes, least significant bit first.  ``_min_lanes``
+# runs one class at a time on a batch of matrices, lane l the l-th matrix;
+# ``_class_lanes`` runs one matrix on a batch of classes, lane l a class.
+# Both hand the bottom travels to one sweep, ``_sweep``.
 
 
 def _compare_lanes(x: Sequence[int], y: Sequence[int], full: int) -> tuple[int, int]:
@@ -409,83 +402,127 @@ def _compare_lanes(x: Sequence[int], y: Sequence[int], full: int) -> tuple[int, 
     return less, same
 
 
+def _lane_counts(planes: Sequence[int], width: int) -> list[int]:
+    """Per lane, the number of planes that have the lane set, as `width`
+    planes; every count must be below 2 ** width."""
+    count = [0] * width
+    for lanes in planes:
+        for bit in range(width):
+            carry = count[bit] & lanes
+            count[bit] ^= lanes
+            if not carry:
+                break
+            lanes = carry
+    return count
+
+
+def _sweep(
+    turns: Sequence[Sequence[int]], moves: Sequence[int], record: Sequence[int], full: int
+) -> list[int]:
+    """The bottom travels of a batch: for each 0-based column c in the
+    bitmask record[i], the lanes whose bottom travel walks level along row
+    i into column c from column c + 1, in sweep order: rows from the bottom
+    up, each right to left.
+
+    turns[i][c] holds the lanes whose row i (for i >= 1) has different
+    entries in columns c and c + 1, and moves[c] those whose reorientation
+    flips one of the two, so the reoriented row turns there on the lanes of
+    their xor.  The sweep runs row by row, right to left, over lane masks:
+    `here` holds the lanes walking along the row at column c, which rise
+    into the row above where the reoriented row turns and walk on
+    elsewhere.  Every class is acyclic, so no lane rises out of row 1: a
+    lane walks level from the column it enters at down to column 1, and
+    its level lanes at column 0 are criterion (a).  Criterion (c) is the
+    caller's: a middle column is interior on the lanes that walk level
+    through it in a row whose top travel segment, or the one in the row
+    above, has it strictly inside (as in ``_close``).
+    """
+    r, n = len(turns), len(moves) + 1
+    levels = []
+    enter = [0] * n
+    enter[-1] = full
+    # enter[c]: the lanes whose bottom travel enters the row at column c;
+    # level: those that walked level into column c from c + 1
+    for i in range(r - 1, 0, -1):
+        wanted, turn, rises = record[i], turns[i], [0] * n
+        here, level = enter[-1], 0
+        for c in range(n - 1, 0, -1):
+            if wanted >> c & 1:
+                levels.append(level)
+            rise = here & (turn[c - 1] ^ moves[c - 1])
+            rises[c - 1] = rise
+            level = here ^ rise
+            here = level | enter[c - 1] if enter[c - 1] else level
+        enter = rises
+    wanted, level = record[0], 0
+    for c in range(n - 1, -1, -1):
+        if wanted >> c & 1:
+            levels.append(level)
+        level |= enter[c]
+    return levels
+
+
+@lru_cache(maxsize=16)
+def _class_shapes(r: int, n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], bool], ...]:
+    """Per class of an r x n matrix, in ``_scan``'s order: its 0-based drop
+    columns, the columns ``_sweep`` records in each row (those strictly
+    inside the top travel's segment in that row or the row above, and
+    column 1 in row 1) and whether column n is interior by criterion (b).
+    They depend only on (r, n), so each rank-3 scan task reuses them."""
+    shapes = []
+    for drops, _, _ in _scan([0] * r, n):
+        tops = [1] + [0] * r  # column 1, where criterion (a) is read
+        a = 0
+        for k, drop in enumerate(drops, 1):
+            tops[k] = ((1 << drop - 1) - 1) & (-2 << a)
+            a = drop - 1
+        tops[len(drops) + 1] = ((1 << n) - 1) & (-2 << a)
+        record = tuple(tops[i] | tops[i + 1] for i in range(r))
+        shapes.append((tuple(drop - 1 for drop in drops), record, len(drops) == r - 1 and a < n - 1))
+    return tuple(shapes)
+
+
 def _min_lanes(planes: Sequence[Sequence[int]], n: int, full: int) -> list[int]:
     """Per lane, the least interior count over the acyclic classes.
 
-    `planes` are the r x n entry planes of a batch and `full` has a bit per
-    lane.  Returns the minima as (n + 1).bit_length() planes; each equals
-    ``_min_class(masks, n)[0]`` of its lane.
+    `planes` are the r x n entry planes of a batch of matrices, bit l of
+    planes[i][j] set when entry (i + 1, j + 1) of lane l's matrix is -1,
+    and `full` has a bit per lane.  Returns the minima as
+    (n + 1).bit_length() planes; each equals ``min_interior``'s count of
+    its lane.
 
     A class's top travel is its plain travel on every lane, so the classes
-    run in the kernel's order, the drops of ``_scan([0] * r, n)``, and each
-    drop step of ``_drop_step`` becomes xors of planes: a flip plane is the
-    entry plane in the segment's row xor the pivot plane.  The bottom
-    travel is swept row by row, right to left, over lane masks: `here`
-    holds the lanes walking along the row at column c, which rise into the
-    row above where the reoriented row turns and walk on elsewhere.  As in
-    ``_close``, a middle column is interior on the lanes that walk level
-    through it, when the top travel's segment in that row or the row above
-    has it inside.  Each interior column's lanes go into a bit-sliced
-    count, and the count into the running minima.  The scan stops once
-    every lane has a class with no interior element.
+    run in the kernel's order (``_class_shapes``), and each drop step of
+    ``_drop_step`` becomes xors of planes: a flip plane is the entry plane
+    in the segment's row xor the pivot plane.  The rows' turns are per-lane
+    planes, and criterion (c) is a column mask per row, the same on every
+    lane.  Each class's interior columns go into a bit-sliced count, and
+    the count into the running minima.  The scan stops once every lane has
+    a class with no interior element.
     """
     r = len(planes)
     width = (n + 1).bit_length()
     least = [full] * width  # 2 ** width - 1 lies above every count
     turns = [[row[c] ^ row[c + 1] for c in range(n - 1)] for row in planes]
-    for drops, _, _ in _scan([0] * r, n):
+    for drops, record, last in _class_shapes(r, n):
         flips = [0] * n  # column 1 is never flipped
-        tops = [0] * (r + 1)
         k, a, pivot = 0, 0, planes[0][0]
-        for drop in drops:
-            b, row = drop - 1, planes[k]
+        for b in drops:
+            row = planes[k]
             for c in range(a + 1, b):
                 flips[c] = row[c] ^ pivot
             flips[b] = row[b] ^ pivot ^ full
             pivot = planes[k + 1][b] ^ flips[b]
             k += 1
-            tops[k] = ((1 << b) - 1) & (-2 << a)
             a = b
         row = planes[k]
         for c in range(a + 1, n):
             flips[c] = row[c] ^ pivot
-        tops[k + 1] = ((1 << n) - 1) & (-2 << a)
         moves = [flips[c] ^ flips[c + 1] for c in range(n - 1)]
-
-        # the lanes of each interior column; column n is interior on every
-        # lane when the top travel runs along row r through n - 1 and n
-        interior = [full] if k == r - 1 and a < n - 1 else []
-        enter = [0] * n
-        enter[n - 1] = full
-        # enter[c]: the lanes whose bottom travel enters the row at column c;
-        # level: those that walked level into column c from c + 1
-        for i in range(r - 1, 0, -1):
-            inner, turn, rises = tops[i] | tops[i + 1], turns[i], [0] * n
-            here, level = enter[n - 1], 0
-            for c in range(n - 1, 0, -1):
-                rise = here & (turn[c - 1] ^ moves[c - 1])
-                rises[c - 1] = rise
-                if level and inner >> c & 1:
-                    interior.append(level)
-                level = here ^ rise
-                here = level | enter[c - 1] if enter[c - 1] else level
-            enter = rises
-        # every class is acyclic, so no lane rises out of row 1: a lane
-        # walks level from the column it enters at down to column 1
-        inner, level = tops[1], 0
-        for c in range(n - 1, -1, -1):
-            if level and (not c or inner >> c & 1):  # column 1: criterion (a)
-                interior.append(level)
-            level |= enter[c]
-
-        count = [0] * width
-        for lanes in interior:
-            for bit in range(width):
-                carry = count[bit] & lanes
-                count[bit] ^= lanes
-                if not carry:
-                    break
-                lanes = carry
+        interior = _sweep(turns, moves, record, full)
+        if last:
+            interior.append(full)
+        count = _lane_counts(interior, width)
         less, _ = _compare_lanes(count, least, full)
         if less:
             for bit in range(width):
@@ -493,6 +530,190 @@ def _min_lanes(planes: Sequence[Sequence[int]], n: int, full: int) -> list[int]:
             if not any(least):
                 break
     return least
+
+
+# Classes per batch of the class-lane kernel.  The batches bound its memory:
+# a large matrix has far more classes than one batch should hold.
+CLASS_LANES = 1 << 12
+
+
+def _class_sizes(r: int, n: int) -> list[list[int]]:
+    """sizes[k][a]: the classes in block (k, a).
+
+    Block (k, a) is the ways to continue a travel that has made k drops,
+    none after 0-based column a: up to min(r - 1, n - 1) - k more drops,
+    all after column a, in class order.  A block whose next drop may come
+    before the last column splits into the continuations dropping at
+    a + 1, block (k + 1, a + 1) behind that drop, and then block (k, a + 1);
+    at a = n - 2 the block is the travel that runs on to column n, then the
+    one dropping at column n.  That is ``_scan``'s order, and the tests
+    check the two against each other.
+    """
+    top = min(r - 1, n - 1)
+    sizes = [[1] * n for _ in range(top + 1)]
+    for k in range(top - 1, -1, -1):
+        sizes[k][n - 2] = 2
+        for a in range(n - 3, -1, -1):
+            sizes[k][a] = sizes[k + 1][a + 1] + sizes[k][a + 1]
+    return sizes
+
+
+def _lane_drops(r: int, n: int, lane: int) -> tuple[int, ...]:
+    """The 1-indexed drops of the class at position `lane` of the class
+    order, found by walking the block sizes from block (0, 0)."""
+    sizes = _class_sizes(r, n)
+    drops, k, a = [], 0, 0
+    while k < len(sizes) - 1:
+        if a == n - 2:
+            if lane:
+                drops.append(n)
+            break
+        head = sizes[k + 1][a + 1]
+        if lane < head:
+            drops.append(a + 2)
+            k += 1
+        else:
+            lane -= head
+        a += 1
+    return tuple(drops)
+
+
+def _block_drops(sizes: list[list[int]], n: int, k: int, a: int, memo: dict) -> list[int]:
+    """The drop planes of block (k, a) for the columns after a: bit l of
+    planes[c - a - 1] is set when the block's l-th class drops at 0-based
+    column c.  Built from the two blocks it splits into, side by side;
+    `memo` keeps every block built, so each is built once."""
+    planes = memo.get((k, a))
+    if planes is None:
+        if k == len(sizes) - 1 or a == n - 1:
+            planes = [0] * (n - 1 - a)
+        elif a == n - 2:
+            planes = [0b10]  # the travel running on to column n, then the drop at n
+        else:
+            head = _block_drops(sizes, n, k + 1, a + 1, memo)
+            tail = _block_drops(sizes, n, k, a + 1, memo)
+            shift = sizes[k + 1][a + 1]
+            planes = [(1 << shift) - 1] + [h | t << shift for h, t in zip(head, tail)]
+        memo[k, a] = planes
+    return planes
+
+
+def _drop_batches(r: int, n: int) -> Iterator[tuple[int, int, list[int]]]:
+    """(start, full, drops) per batch of the classes of an r x n matrix, in
+    class order: lane l of the batch is the class at position start + l,
+    `full` has a bit per lane, and bit l of drops[c] is set when that class
+    drops at 0-based column c.
+
+    A batch is block (k, a) behind a prefix of k drops, which are `full`
+    planes, and holds at most CLASS_LANES classes; a block that is too
+    large is split as ``_class_sizes`` says.  The blocks' planes come from
+    ``_block_drops``, so there is no loop over the classes of a batch.
+    """
+    sizes = _class_sizes(r, n)
+    top = len(sizes) - 1
+    memo: dict = {}
+    start = 0
+    stack = [((), 0, 0)]
+    while stack:
+        prefix, k, a = stack.pop()
+        if sizes[k][a] > CLASS_LANES:
+            if a == n - 2:  # the two classes of the block, one at a time
+                stack.append((prefix + (a + 1,), top, a + 1))
+                stack.append((prefix, top, a))
+            else:
+                stack.append((prefix, k, a + 1))
+                stack.append((prefix + (a + 1,), k + 1, a + 1))
+            continue
+        full = (1 << sizes[k][a]) - 1
+        drops = [0] * (a + 1) + _block_drops(sizes, n, k, a, memo)
+        for c in prefix:
+            drops[c] = full
+        yield start, full, drops
+        start += sizes[k][a]
+
+
+def _class_interiors(masks: Sequence[int], drops: Sequence[int], full: int) -> list[int]:
+    """Per column, the lanes on which it is interior, for one matrix and a
+    batch of classes: bit l of drops[c] is set when class l drops at
+    0-based column c.
+
+    The entries and turns of the matrix are the same on every lane; the
+    flips are per-lane planes.  The top travels are swept left to right:
+    rows[j] holds the lanes whose travel runs along row j at column c, and
+    `pivot` the entry bit each carried into its row.  A level lane flips
+    column c when its entry differs from the pivot, a dropping lane when it
+    agrees, and a lane dropping from row j to row j + 1 at column c takes
+    the pivot p ^ m[j + 1][c] ^ m[j][c] ^ 1.  Column c is strictly inside a
+    segment on the lanes that do not drop at it.
+    """
+    r, n = len(masks), len(drops)
+    rows = [full] + [0] * (r - 1)
+    pivot = full if masks[0] & 1 else 0
+    flips = [0] * n  # column 1 is never flipped
+    at = [rows]  # at[c]: rows after the drops at column c
+    for c in range(1, n):
+        drop = drops[c]
+        minus = 0
+        for j in range(r):
+            if masks[j] >> c & 1:
+                minus |= rows[j]
+        flips[c] = pivot ^ minus ^ drop
+        if drop:
+            rows, turn = rows[:], 0
+            for j in range(r - 2, -1, -1):  # bottom up, so a lane drops once
+                moved = rows[j] & drop
+                if moved:
+                    rows[j] ^= moved
+                    rows[j + 1] |= moved
+                    if (masks[j] ^ masks[j + 1]) >> c & 1:
+                        turn |= moved
+            pivot ^= drop ^ turn
+        at.append(rows)
+    moves = [flips[c] ^ flips[c + 1] for c in range(n - 1)]
+    turns = [[full if (row ^ row >> 1) >> c & 1 else 0 for c in range(n - 1)] for row in masks]
+    # every column but n, in the sweep's order: rows from the bottom up,
+    # columns n - 1 down to 2 (and to 1 in row 1)
+    levels = _sweep(turns, moves, [(1 << n - 1) - 1] * r, full)
+    cols = [0] * n
+    for c in range(1, n - 1):
+        # a top travel in row j has column c inside its segment unless it
+        # drops there; bottom rows j and j + 1 walk level along it
+        interior, below = 0, levels[(r - 1) * (n - 2) + n - 2 - c]
+        for j, lanes in enumerate(at[c]):
+            here = levels[(r - 2 - j) * (n - 2) + n - 2 - c] if j + 1 < r else 0
+            if lanes and (below or here):
+                interior |= lanes & (below | here)
+            below = here
+        cols[c] = interior ^ (interior & drops[c])
+    if n > 1:
+        cols[0] = levels[r * (n - 2)]
+        # column n is interior where the travel runs along row r through
+        # columns n - 1 and n
+        cols[-1] = at[-1][-1] ^ (at[-1][-1] & drops[-1])
+    return cols
+
+
+def _class_lanes(matrix: SignMatrix) -> Iterator[tuple[int, int, list[int]]]:
+    """The class-lane kernel: (start, full, cols) per batch of the matrix's
+    classes, batched by ``_drop_batches``; cols[c] holds the lanes on
+    which column c + 1 is interior."""
+    masks = _row_masks(matrix.rows)
+    for start, full, drops in _drop_batches(matrix.r, matrix.n):
+        yield start, full, _class_interiors(masks, drops, full)
+
+
+def _least_lanes(cols: Sequence[int], full: int) -> tuple[int, int]:
+    """(value, lanes): the least per-lane count of interior columns and the
+    lanes that have it."""
+    count = _lane_counts(cols, (len(cols) + 1).bit_length())
+    lanes, value = full, 0
+    for bit in range(len(count) - 1, -1, -1):
+        zero = lanes ^ (lanes & count[bit])
+        if zero:
+            lanes = zero
+        else:
+            value |= 1 << bit
+    return value, lanes
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +837,16 @@ def min_interior(matrix: SignMatrix) -> tuple[int, Travel]:
     the remaining acyclic class, is realized as a top travel via its
     canonical reorientation and the interior elements are counted.
     Returns the minimum and the lexicographically smallest witness shape.
+    The classes run in batches of the class-lane kernel; the scan stops
+    after the first batch with a class that has no interior element, since
+    no class can have fewer.
     """
-    count, drops = _min_class(_row_masks(matrix.rows), matrix.n)
-    return count, plain_travel(matrix.r, matrix.n, drops)
+    r, n = matrix.r, matrix.n
+    best, witness = n + 1, 0
+    for start, full, cols in _class_lanes(matrix):
+        value, lanes = _least_lanes(cols, full)
+        if value < best:
+            best, witness = value, start + (lanes & -lanes).bit_length() - 1
+            if not best:
+                break
+    return best, plain_travel(r, n, _lane_drops(r, n, witness))

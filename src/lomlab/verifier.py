@@ -29,14 +29,16 @@ from .chessboard import (
 from .sign_matrix import SignMatrix, reorient
 from .travels import (
     Travel,
+    _class_lanes,
     _compare_lanes,
+    _lane_drops,
+    _least_lanes,
     _min_lanes,
     enumerate_plain_travels,  # noqa: F401  (perfbench/spans.py wraps it here)
     interior_elements,
     min_interior,
     plain_travel,
     reorientation_for_pt,
-    scan_classes,
 )
 
 PASS = "pass"
@@ -235,8 +237,10 @@ def reproduce_counterexample(which: str) -> VerificationReport:
 
     The three boards demonstrate that some constructions cannot give more:
     each admits an acyclic reorientation class whose interior set is exactly
-    the recorded target.  The scan runs over every class in lexicographic
-    order and returns the first exact match as witness.
+    the recorded target.  Every class is scanned, in batches of the
+    class-lane kernel: a class matches when its interior planes agree with
+    the target on every column, and the witness is the first match in
+    lexicographic order.
     """
     if which not in COUNTEREXAMPLES:
         raise ValueError(f"unknown counterexample {which!r}, want one of a, b, c")
@@ -247,11 +251,15 @@ def reproduce_counterexample(which: str) -> VerificationReport:
     found: tuple[int, ...] | None = None
     best = n + 1
     scanned = 0
-    for drops, _, interior in scan_classes(matrix):
-        scanned += 1
-        best = min(best, interior.bit_count())
-        if found is None and interior == target_mask:
-            found = drops
+    for first, full, cols in _class_lanes(matrix):
+        scanned += full.bit_length()
+        best = min(best, _least_lanes(cols, full)[0])
+        if found is None:
+            match = full
+            for c, lanes in enumerate(cols):
+                match &= lanes if target_mask >> c & 1 else full ^ lanes
+            if match:
+                found = _lane_drops(r, n, first + (match & -match).bit_length() - 1)
     witnesses = ()
     if found is not None:
         travel = plain_travel(r, n, found)

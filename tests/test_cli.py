@@ -313,6 +313,14 @@ EXIT_CASES = [
         id="verify-negative-t",
     ),
     pytest.param(
+        ["verify", "dim2", "--t", "0", "--workers", "0"], 2,
+        "usage error: --workers must be >= 1, got 0\n", id="verify-workers-0",
+    ),
+    pytest.param(
+        ["verify", "dim2", "--t", "0", "--workers", "-2"], 2,
+        "usage error: --workers must be >= 1, got -2\n", id="verify-workers-negative",
+    ),
+    pytest.param(
         ["scan", "--r", "3", "--n", "6", "--budget", "-1"], 2,
         "usage error: budget must be >= 0, got -1\n", id="scan-negative-budget",
     ),

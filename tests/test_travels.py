@@ -357,7 +357,12 @@ def test_scan_kernel_matches_reference_on_every_rank3_n7_board():
 
     for code in range(1 << 12):
         matrix = canonical_matrix(_board_from_code(7, code))
-        assert _kernel_scan(matrix) == list(reference_scan(matrix, True)), code
+        classes = list(reference_scan(matrix, True))
+        assert _kernel_scan(matrix) == classes, code
+        # the class-lane kernel: the least count and the first class with it
+        count, witness = min_interior(matrix)
+        assert count == min(len(interior) for _, _, interior in classes), code
+        assert witness.drop_columns == next(d for d, _, i in classes if len(i) == count), code
 
 
 def test_interleaved_scans_keep_their_own_state():
@@ -449,23 +454,106 @@ def test_single_class_evaluator_matches_scan(matrix):
 
 
 @pytest.mark.parametrize("r", [3, 4])
-def test_lane_kernel_matches_min_class_on_random_lanes(r):
+def test_lane_kernel_matches_reference_on_random_lanes(r):
     # seeded random r x n matrices, not canonical boards: row 1 and column 1
     # vary too, and the lanes of a batch are unrelated
-    from lomlab.travels import _min_class, _min_lanes
+    from lomlab.travels import _min_lanes
 
     rng = random.Random(1100 + r)
     seen = set()
-    for n in range(2, 11):
+    for n in range(max(r, 2), 11):
         for lanes in (1, rng.randint(2, 90)):
-            masks = [[rng.getrandbits(n) for _ in range(r)] for _ in range(lanes)]
+            matrices = [random_sign_matrix(rng, r, n) for _ in range(lanes)]
             planes = [
-                [sum((m[i] >> j & 1) << lane for lane, m in enumerate(masks)) for j in range(n)]
+                [sum((m.rows[i][j] < 0) << lane for lane, m in enumerate(matrices)) for j in range(n)]
                 for i in range(r)
             ]
             least = _min_lanes(planes, n, (1 << lanes) - 1)
-            for lane, m in enumerate(masks):
+            for lane, m in enumerate(matrices):
                 value = sum((plane >> lane & 1) << bit for bit, plane in enumerate(least))
-                assert value == _min_class(m, n)[0], (n, m)
+                assert value == reference_min_interior(m)[0], (n, m.rows)
                 seen.add(value)
     assert len(seen) >= 3  # the batches reach past the all-zero early stop
+
+
+def test_lane_counts_match_per_lane_sums():
+    from lomlab.travels import _lane_counts
+
+    rng = random.Random(1401)
+    for planes in range(20):
+        lanes = rng.randint(1, 70)
+        batch = [rng.getrandbits(lanes) for _ in range(planes)] + [0]
+        count = _lane_counts(batch, planes.bit_length())
+        for lane in range(lanes):
+            value = sum((plane >> lane & 1) << bit for bit, plane in enumerate(count))
+            assert value == sum(plane >> lane & 1 for plane in batch), (planes, lane)
+
+
+def test_min_interior_matches_reference_on_seeded_matrices():
+    # the class-lane kernel against the per-class reference: every rank 1..7
+    # and width r..12 (a SignMatrix needs n >= r), the count and the drops of
+    # the first class reaching it
+    rng = random.Random(1402)
+    for r in range(1, 8):
+        for n in range(r, 13):
+            for _ in range(2):
+                matrix = random_sign_matrix(rng, r, n)
+                count, witness = min_interior(matrix)
+                assert (count, witness.drop_columns) == reference_min_interior(matrix), matrix.rows
+
+
+def test_lane_order_decodes_to_the_reference_drop_sets():
+    from lomlab.travels import _lane_drops
+
+    for r in range(1, 7):
+        for n in range(1, 11):
+            expect = reference_drop_sets(r, n, True)
+            assert [_lane_drops(r, n, lane) for lane in range(len(expect))] == expect, (r, n)
+
+
+@pytest.mark.parametrize("lanes", [1, 3, 64, 1 << 12])
+def test_batch_drop_planes_match_the_reference_drop_sets(monkeypatch, lanes):
+    # each batch is a run of whole classes in class order, at most `lanes`
+    # wide, and bit l of its plane for column c says whether class start + l
+    # drops at c
+    from lomlab import travels
+
+    monkeypatch.setattr(travels, "CLASS_LANES", lanes)
+    for r in range(1, 7):
+        for n in range(1, 11):
+            expect = reference_drop_sets(r, n, True)
+            got = []
+            for start, full, drops in travels._drop_batches(r, n):
+                assert start == len(got) and 0 < full.bit_length() <= lanes
+                assert len(drops) == n and not drops[0]  # column 1 never drops
+                for lane in range(full.bit_length()):
+                    got.append(tuple(c + 1 for c, plane in enumerate(drops) if plane >> lane & 1))
+            assert got == expect, (r, n)
+
+
+def test_min_interior_stops_after_the_first_batch_with_a_zero(monkeypatch):
+    # with batches of 4, this 4 x 7 matrix's first class with no interior
+    # element is class 14, in the fifth of twelve batches; the scan stops
+    # there and still reports that class
+    from lomlab import travels
+
+    matrix = SignMatrix(
+        (
+            (-1, -1, 1, -1, -1, -1, -1),
+            (-1, -1, 1, 1, -1, 1, 1),
+            (-1, 1, -1, 1, 1, -1, -1),
+            (1, -1, -1, -1, 1, -1, -1),
+        )
+    )
+    monkeypatch.setattr(travels, "CLASS_LANES", 4)
+    starts = [start for start, _, _ in travels._drop_batches(4, 7)]
+    first_zero = next(i for i, (_, _, interior) in enumerate(reference_scan(matrix, True)) if not interior)
+    assert (len(starts), first_zero) == (12, 14) and starts[4] <= first_zero < starts[5]
+    evaluated = []
+    kernel = travels._class_interiors
+    monkeypatch.setattr(
+        travels, "_class_interiors", lambda *args: evaluated.append(args[2]) or kernel(*args)
+    )
+    count, witness = min_interior(matrix)
+    assert len(evaluated) == 5
+    assert (count, witness.drop_columns) == reference_min_interior(matrix) == (0, reference_drop_sets(4, 7, True)[14])

@@ -4,7 +4,7 @@ import pytest
 
 from lomlab.chessboard import canonical_matrix, corners_for
 from lomlab.sign_matrix import reorient
-from lomlab.travels import interior_elements, reorientation_for_pt
+from lomlab.travels import interior_elements, min_interior, reorientation_for_pt
 from lomlab.verifier import (
     COUNTEREXAMPLES,
     exhaustive_rank3_scan,
@@ -151,6 +151,34 @@ def test_counterexamples_reproduce_exact_interior_sets():
         assert witness.interior == target
         assert witness.observed == len(target)
         assert report.min_interior_observed == len(target)
+
+
+def test_counterexample_reports_match_the_reference_scan():
+    # every class is checked, the least count is over every class, and the
+    # witness is the first class, in lexicographic order, with the target set
+    from lomlab.chessboard import board_from_sequence
+
+    from oracles import reference_scan
+
+    for which, (r, n, sequence, target) in COUNTEREXAMPLES.items():
+        classes = list(reference_scan(canonical_matrix(board_from_sequence(r, n, sequence)), True))
+        report = reproduce_counterexample(which)
+        assert report.instances_checked == len(classes), which
+        assert report.min_interior_observed == min(len(i) for _, _, i in classes), which
+        first = next(drops for drops, _, interior in classes if interior == frozenset(target))
+        assert report.witnesses[0].travel.drop_columns == first, which
+
+
+@pytest.mark.parametrize("lanes", [1, 3, 64])
+def test_class_batches_change_no_result(monkeypatch, lanes):
+    # the batches of the class-lane kernel, down to one class each, give the
+    # same minimum and witness, and the same counterexample reports
+    from lomlab import travels
+
+    matrix = canonical_matrix(corners_for("even-d", 7, 2))
+    expect = [min_interior(matrix)] + [reproduce_counterexample(w).to_text() for w in "abc"]
+    monkeypatch.setattr(travels, "CLASS_LANES", lanes)
+    assert [min_interior(matrix)] + [reproduce_counterexample(w).to_text() for w in "abc"] == expect
 
 
 def test_counterexample_rejects_unknown_label():
