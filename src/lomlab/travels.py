@@ -39,30 +39,29 @@ matrix itself whenever it is acyclic.  ``min_interior`` scans the plain
 travels plus that degenerate shape, so its minimum ranges over every acyclic
 reorientation class.
 
-The per-class scan is ``_scan``: a single generator frame that walks the
-drop columns depth first on an explicit stack, over int-bitmask rows.  Its
-walk is the one definition of the class order, the lexicographic order of
-breakpoints (drop columns, then n).  It serves ``scan_classes``, which
-yields each class's flips and interior set, and ``enumerate_plain_travels``,
-the scan of the all-plus matrix.  Each class's top travel is its
-prescribed plain travel, so only the bottom travel is walked (in
-``_close``, one ``int.bit_length`` step per segment on the rows' turn
-masks), and criterion (c) becomes one AND per row of the two travels'
-masks of columns strictly inside a segment.
+The class order is the lexicographic order of breakpoints (drop columns,
+then n), and the batches of ``_drop_batches`` define it: each batch holds
+the drop columns of up to CLASS_LANES consecutive classes as planes, one
+lane per class, built from blocks of the class tree (``_class_sizes``,
+``_block_drops``) with no loop over its classes.  ``_class_order`` reads
+the batches lane by lane for the callers that want one class at a time:
+``enumerate_plain_travels`` (the classes of the all-plus matrix),
+``scan_classes`` and the shapes of the rank-3 scan.
 
-Two helpers make up every class: ``_drop_step`` adds one top-travel
-segment ending in a drop, and ``_close`` adds the last segment and walks
-the bottom travel.  ``_scan`` shares the drop steps of a prefix among the
-classes below it; ``_class_of`` evaluates a single class, one
-``_drop_step`` per drop and then ``_close``.
-``reorientation_for_pt`` and ``interior_elements`` are built on it.
+``_class_of`` evaluates a single class over int-bitmask rows: the witness
+replay (``reorientation_for_pt``, ``interior_elements``) and
+``scan_classes``, which yields each class's flips and interior set.  Each
+class's top travel is its prescribed plain travel, so only the bottom
+travel is walked, one ``int.bit_length`` step per segment on the rows'
+turn masks, and criterion (c) becomes one AND per row of the two travels'
+masks of columns strictly inside a segment.
 
 Minima run on two lane kernels.  A plane is an int whose bit l stands for
 lane l, and both kernels hand the bottom travels to one sweep,
 ``_sweep``, which walks them row by row over lane masks.
 
 * ``_min_lanes`` (the rank-3 board scan) runs a batch of matrices, one per
-  lane, through the classes in ``_scan``'s order.  A class's top travel is
+  lane, through the classes in class order.  A class's top travel is
   the same on every lane: the flips and the rows' turns are per-lane
   planes, criterion (c) is one column mask per row, and each class's
   interior count goes into bit-sliced per-lane minima.
@@ -70,11 +69,10 @@ lane l, and both kernels hand the bottom travels to one sweep,
   one matrix with a class per lane.  The entries and turns are the same
   on every lane; the drop columns, the flips and the segments are per-lane
   planes, and the kernel returns one plane per column of the lanes on
-  which that column is interior.  The drop planes of a batch are built
-  from blocks of the class tree (``_class_sizes``, ``_block_drops``),
-  with no loop over its classes, and the batches of at most CLASS_LANES
-  classes come in class order, so ``min_interior`` can stop after the
-  first batch with a class that has no interior element.
+  which that column is interior.  It takes the batches' drop planes as
+  they come, in class order, so ``min_interior`` can stop after the first
+  batch with a class that has no interior element, and reads its witness
+  from that batch's planes.
 """
 
 from __future__ import annotations
@@ -210,10 +208,14 @@ def _bottom_segments(rows: Rows) -> tuple[tuple[int, int, int], ...]:
     return tuple((r + 1 - i, n + 1 - a, n + 1 - b) for i, a, b in _top_segments(turned))
 
 
-def _is_acyclic(rows: Rows) -> bool:
+def _top_drops(rows: Rows) -> tuple[int, ...] | None:
+    """The 1-indexed drop columns of the top travel, or None when the
+    matrix is cyclic: its top travel ends in row r before column n."""
     segments = _top_segments(rows)
     end_row, _, end_col = segments[-1]
-    return not (end_row == len(rows) and end_col < len(rows[0]))
+    if end_row == len(rows) and end_col < len(rows[0]):
+        return None
+    return tuple(seg[2] for seg in segments[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -233,19 +235,6 @@ def _columns(mask: int) -> frozenset[int]:
     return frozenset(j + 1 for j in range(mask.bit_length()) if (mask >> j) & 1)
 
 
-def _drop_step(row: int, below: int, a: int, b: int, pivot: int) -> tuple[int, int, int]:
-    """One top-travel segment along `row`, from column a to a drop at b.
-
-    `pivot` is the entry bit the walk carries into column a.  Returns the
-    columns to flip so the walk stays level up to b and drops at b, the
-    entry bit it carries into the row below, and the segment's inside mask.
-    """
-    inside = ((1 << b) - 1) & (-2 << a)
-    drop = ((row >> b) ^ pivot ^ 1) & 1
-    flips = ((row ^ -pivot) & inside) | drop << b
-    return flips, ((below >> b) & 1) ^ drop, inside
-
-
 def _turn_masks(masks: Sequence[int]) -> list[int]:
     """Per row, bit j set when the entries in columns j + 1 and j + 2 differ.
 
@@ -255,31 +244,39 @@ def _turn_masks(masks: Sequence[int]) -> list[int]:
     return [mask ^ (mask >> 1) for mask in masks]
 
 
-def _close(
-    masks: Sequence[int],
-    turns: Sequence[int],
-    tops: list[int],
-    n: int,
-    k: int,
-    a: int,
-    pivot: int,
-    flips: int,
+def _class_of(
+    masks: Sequence[int], turns: Sequence[int], n: int, drops: Sequence[int]
 ) -> tuple[int, int]:
-    """(flips, interior) of the class whose top travel ends along row k.
+    """(flips, interior) of the one class whose plain travel drops at `drops`.
 
-    The travel enters row k at column a with entry bit `pivot`, `flips`
-    covers the columns up to a, and tops[i + 1] is the inside mask of its
-    segment in row i for i < k (0 for rows it misses, and tops[0] == 0).
-    Its last segment, from column a to column n, is closed here and set in
-    tops[k + 1]; a travel whose last drop is at column n closes with an
-    empty one.  `turns` are the rows' turn masks (see ``_turn_masks``),
-    which the reorientation enters as ``flips ^ (flips >> 1)``.
+    `masks` are the matrix rows and `turns` their turn masks (see
+    ``_turn_masks``), which the reorientation enters as
+    ``flips ^ (flips >> 1)``.  `drops` are 1-indexed, strictly increasing
+    in [2, n] and at most r - 1 of them; they are not checked here.
+
+    The top travel is laid one segment at a time.  Along its row, a column
+    strictly inside the segment flips when its entry differs from `pivot`,
+    the entry bit the walk carries into the row, and the drop column flips
+    when its entry agrees, so that the walk drops there.  tops[i + 1] is
+    the inside mask of the segment in row i (0 for rows it misses, and
+    tops[0] == 0); a travel whose last drop is at column n ends with an
+    empty segment.
 
     The bottom travel is then walked, one step per segment: walking left
     from column j, it rises at the nearest turn left of j, the highest set
     bit of a masked xor.  Column n is interior when the top travel runs
     along row r through columns n - 1 and n.
     """
+    tops = [0] * (len(masks) + 1)
+    k, a, pivot, flips = 0, 0, masks[0] & 1, 0
+    for drop in drops:
+        b = drop - 1
+        row, inside = masks[k], ((1 << b) - 1) & (-2 << a)
+        flip = ((row >> b) ^ pivot ^ 1) & 1
+        flips |= ((row ^ -pivot) & inside) | flip << b
+        pivot = ((masks[k + 1] >> b) & 1) ^ flip
+        k, a = k + 1, b
+        tops[k] = inside
     inside = ((1 << n) - 1) & (-2 << a)
     tops[k + 1] = inside
     flips |= (masks[k] ^ -pivot) & inside
@@ -297,89 +294,6 @@ def _close(
         rise = off.bit_length() - 1
         out |= left & (-2 << rise) & (tops[i] | tops[i + 1])
         i, j = i - 1, rise
-
-
-def _scan(masks: Sequence[int], n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """The class-scan kernel: (drops, flips, interior) per acyclic class.
-
-    `masks` are the matrix rows as bitmasks.  The drop prefixes are walked
-    depth first on an explicit stack, and this walk defines the class
-    order, the lexicographic order of breakpoints: a node's children (drops
-    at columns 2 .. n - 1) come first, then the class whose last segment
-    runs to column n, then the child dropping at n.  Each drop extends the
-    parent's flips by one travel segment, so classes sharing a prefix share
-    its work.  tops[k + 1] holds the inside mask of the top travel in row
-    k; it is set on descent and cleared on backtrack, so every class reads
-    the one list.
-    """
-    r = len(masks)
-    max_drops = min(r - 1, n - 1)
-    last = n - 1
-    turns = _turn_masks(masks)
-    tops = [0] * (r + 1)
-    # A node is a drop prefix: the top travel enters row k = len(drops) at
-    # column a with entry bit `pivot`, `flips` covers the columns up to a,
-    # and `inside` is the inside mask of the segment that dropped into row
-    # k.  A node whose children have children is popped twice: first to
-    # push itself back, `opened`, above its children, then to close once
-    # they are done.  The children of a node at k = max_drops - 1 are
-    # leaves, one class each, so that node closes them in a loop, in column
-    # order, and then itself; no leaf goes on the stack.
-    stack = [((), 0, 0, masks[0] & 1, 0, 0, False)]
-    while stack:
-        drops, k, a, pivot, flips, inside, opened = stack.pop()
-        if not opened:
-            tops[k] = inside
-            if k < max_drops:
-                row, below_row = masks[k], masks[k + 1]
-                if k + 1 < max_drops:
-                    stack.append((drops, k, a, pivot, flips, inside, True))
-                    for b in range(last - 1, a, -1):
-                        step, below, inside = _drop_step(row, below_row, a, b, pivot)
-                        stack.append((drops + (b + 1,), k + 1, b, below, flips | step, inside, False))
-                    continue
-                for b in range(a + 1, last):
-                    step, below, tops[k + 1] = _drop_step(row, below_row, a, b, pivot)
-                    closed, interior = _close(masks, turns, tops, n, k + 1, b, below, flips | step)
-                    yield drops + (b + 1,), closed, interior
-                tops[k + 2] = 0
-        closed, interior = _close(masks, turns, tops, n, k, a, pivot, flips)
-        yield drops, closed, interior
-        if k < max_drops:
-            # the child dropping at column n: its last segment is empty
-            step, below, tops[k + 1] = _drop_step(masks[k], masks[k + 1], a, last, pivot)
-            closed, interior = _close(masks, turns, tops, n, k + 1, last, below, flips | step)
-            yield drops + (n,), closed, interior
-        tops[k + 1] = 0
-
-
-def scan_classes(matrix: SignMatrix) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """Stream (drops, flips, interior) over the acyclic reorientation classes.
-
-    Classes come in the kernel's order, the lexicographic order of
-    breakpoints, so the first class with a given interior count is the
-    lexicographically least witness.  `drops` are the 1-indexed drop
-    columns of the class's plain travel; `flips` and `interior` are column
-    bitmasks (bit j for column j + 1), the canonical reorientation and the
-    interior set of the reoriented matrix.
-    """
-    return _scan(_row_masks(matrix.rows), matrix.n)
-
-
-def _class_of(masks: Sequence[int], n: int, drops: Sequence[int]) -> tuple[int, int]:
-    """(flips, interior) of the one class whose plain travel drops at `drops`.
-
-    The same segment steps as a ``_scan`` path down to that class: one
-    ``_drop_step`` per drop, then ``_close``.  `drops` are 1-indexed,
-    strictly increasing in [2, n] and at most r - 1 of them; they are not
-    checked here.
-    """
-    tops = [0] * (len(masks) + 1)
-    k, a, pivot, flips = 0, 0, masks[0] & 1, 0
-    for drop in drops:
-        step, pivot, tops[k + 1] = _drop_step(masks[k], masks[k + 1], a, drop - 1, pivot)
-        k, a, flips = k + 1, drop - 1, flips | step
-    return _close(masks, _turn_masks(masks), tops, n, k, a, pivot, flips)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +349,7 @@ def _sweep(
     its level lanes at column 0 are criterion (a).  Criterion (c) is the
     caller's: a middle column is interior on the lanes that walk level
     through it in a row whose top travel segment, or the one in the row
-    above, has it strictly inside (as in ``_close``).
+    above, has it strictly inside (as in ``_class_of``).
     """
     r, n = len(turns), len(moves) + 1
     levels = []
@@ -464,13 +378,13 @@ def _sweep(
 
 @lru_cache(maxsize=16)
 def _class_shapes(r: int, n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], bool], ...]:
-    """Per class of an r x n matrix, in ``_scan``'s order: its 0-based drop
+    """Per class of an r x n matrix, in class order: its 0-based drop
     columns, the columns ``_sweep`` records in each row (those strictly
     inside the top travel's segment in that row or the row above, and
     column 1 in row 1) and whether column n is interior by criterion (b).
     They depend only on (r, n), so each rank-3 scan task reuses them."""
     shapes = []
-    for drops, _, _ in _scan([0] * r, n):
+    for drops in _class_order(r, n):
         tops = [1] + [0] * r  # column 1, where criterion (a) is read
         a = 0
         for k, drop in enumerate(drops, 1):
@@ -492,8 +406,8 @@ def _min_lanes(planes: Sequence[Sequence[int]], n: int, full: int) -> list[int]:
     its lane.
 
     A class's top travel is its plain travel on every lane, so the classes
-    run in the kernel's order (``_class_shapes``), and each drop step of
-    ``_drop_step`` becomes xors of planes: a flip plane is the entry plane
+    run in class order (``_class_shapes``), and each drop step of
+    ``_class_of`` becomes xors of planes: a flip plane is the entry plane
     in the segment's row xor the pivot plane.  The rows' turns are per-lane
     planes, and criterion (c) is a column mask per row, the same on every
     lane.  Each class's interior columns go into a bit-sliced count, and
@@ -546,8 +460,8 @@ def _class_sizes(r: int, n: int) -> list[list[int]]:
     before the last column splits into the continuations dropping at
     a + 1, block (k + 1, a + 1) behind that drop, and then block (k, a + 1);
     at a = n - 2 the block is the travel that runs on to column n, then the
-    one dropping at column n.  That is ``_scan``'s order, and the tests
-    check the two against each other.
+    one dropping at column n.  That is the lexicographic order of
+    breakpoints, and the tests check it against a sort of every drop set.
     """
     top = min(r - 1, n - 1)
     sizes = [[1] * n for _ in range(top + 1)]
@@ -556,26 +470,6 @@ def _class_sizes(r: int, n: int) -> list[list[int]]:
         for a in range(n - 3, -1, -1):
             sizes[k][a] = sizes[k + 1][a + 1] + sizes[k][a + 1]
     return sizes
-
-
-def _lane_drops(r: int, n: int, lane: int) -> tuple[int, ...]:
-    """The 1-indexed drops of the class at position `lane` of the class
-    order, found by walking the block sizes from block (0, 0)."""
-    sizes = _class_sizes(r, n)
-    drops, k, a = [], 0, 0
-    while k < len(sizes) - 1:
-        if a == n - 2:
-            if lane:
-                drops.append(n)
-            break
-        head = sizes[k + 1][a + 1]
-        if lane < head:
-            drops.append(a + 2)
-            k += 1
-        else:
-            lane -= head
-        a += 1
-    return tuple(drops)
 
 
 def _block_drops(sizes: list[list[int]], n: int, k: int, a: int, memo: dict) -> list[int]:
@@ -598,11 +492,12 @@ def _block_drops(sizes: list[list[int]], n: int, k: int, a: int, memo: dict) -> 
     return planes
 
 
-def _drop_batches(r: int, n: int) -> Iterator[tuple[int, int, list[int]]]:
-    """(start, full, drops) per batch of the classes of an r x n matrix, in
-    class order: lane l of the batch is the class at position start + l,
-    `full` has a bit per lane, and bit l of drops[c] is set when that class
-    drops at 0-based column c.
+def _drop_batches(r: int, n: int) -> Iterator[tuple[int, list[int]]]:
+    """(full, drops) per batch of the classes of an r x n matrix: the one
+    definition of the class order.  The batches follow one another in
+    class order, lane l of a batch is its l-th class, `full` has a bit per
+    lane, and bit l of drops[c] is set when that class drops at 0-based
+    column c.
 
     A batch is block (k, a) behind a prefix of k drops, which are `full`
     planes, and holds at most CLASS_LANES classes; a block that is too
@@ -612,7 +507,6 @@ def _drop_batches(r: int, n: int) -> Iterator[tuple[int, int, list[int]]]:
     sizes = _class_sizes(r, n)
     top = len(sizes) - 1
     memo: dict = {}
-    start = 0
     stack = [((), 0, 0)]
     while stack:
         prefix, k, a = stack.pop()
@@ -628,8 +522,20 @@ def _drop_batches(r: int, n: int) -> Iterator[tuple[int, int, list[int]]]:
         drops = [0] * (a + 1) + _block_drops(sizes, n, k, a, memo)
         for c in prefix:
             drops[c] = full
-        yield start, full, drops
-        start += sizes[k][a]
+        yield full, drops
+
+
+def _decode_lane(drops: Sequence[int], lane: int) -> tuple[int, ...]:
+    """The 1-indexed drop columns of lane `lane` of a batch's drop planes."""
+    return tuple(c + 1 for c, plane in enumerate(drops) if plane >> lane & 1)
+
+
+def _class_order(r: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The 1-indexed drop columns of each class of an r x n matrix, in
+    class order: the batches' drop planes read lane by lane."""
+    for full, drops in _drop_batches(r, n):
+        for lane in range(full.bit_length()):
+            yield _decode_lane(drops, lane)
 
 
 def _class_interiors(masks: Sequence[int], drops: Sequence[int], full: int) -> list[int]:
@@ -693,13 +599,13 @@ def _class_interiors(masks: Sequence[int], drops: Sequence[int], full: int) -> l
     return cols
 
 
-def _class_lanes(matrix: SignMatrix) -> Iterator[tuple[int, int, list[int]]]:
-    """The class-lane kernel: (start, full, cols) per batch of the matrix's
+def _class_lanes(matrix: SignMatrix) -> Iterator[tuple[int, list[int], list[int]]]:
+    """The class-lane kernel: (full, drops, cols) per batch of the matrix's
     classes, batched by ``_drop_batches``; cols[c] holds the lanes on
     which column c + 1 is interior."""
     masks = _row_masks(matrix.rows)
-    for start, full, drops in _drop_batches(matrix.r, matrix.n):
-        yield start, full, _class_interiors(masks, drops, full)
+    for full, drops in _drop_batches(matrix.r, matrix.n):
+        yield full, drops, _class_interiors(masks, drops, full)
 
 
 def _least_lanes(cols: Sequence[int], full: int) -> tuple[int, int]:
@@ -732,7 +638,7 @@ def bottom_travel(matrix: SignMatrix) -> Travel:
 
 def is_acyclic(matrix: SignMatrix) -> bool:
     """True unless the top travel ends in row r strictly before column n."""
-    return _is_acyclic(matrix.rows)
+    return _top_drops(matrix.rows) is not None
 
 
 def interior_elements(matrix: SignMatrix) -> frozenset[int]:
@@ -741,14 +647,13 @@ def interior_elements(matrix: SignMatrix) -> frozenset[int]:
     Raises CyclicMatroidError on cyclic input: interior elements are defined
     only for acyclic matrices.
     """
-    segments = _top_segments(matrix.rows)
-    row, _, b = segments[-1]
-    if row == matrix.r and b < matrix.n:
-        raise CyclicMatroidError("interior elements are defined only for acyclic matrices")
     # the matrix's own top travel is the plain travel of its class, reached
     # with no flips
-    drops = tuple(seg[2] for seg in segments[:-1])
-    return _columns(_class_of(_row_masks(matrix.rows), matrix.n, drops)[1])
+    drops = _top_drops(matrix.rows)
+    if drops is None:
+        raise CyclicMatroidError("interior elements are defined only for acyclic matrices")
+    masks = _row_masks(matrix.rows)
+    return _columns(_class_of(masks, _turn_masks(masks), matrix.n, drops)[1])
 
 
 def plain_travel(r: int, n: int, drops: Sequence[int]) -> Travel:
@@ -787,15 +692,30 @@ def enumerate_plain_travels(r: int, n: int, include_trivial: bool = False) -> It
     """Stream every plain travel for an r x n matrix exactly once.
 
     Travels are emitted in lexicographic order of their breakpoint
-    sequences, the order of the class-scan kernel: these are the classes of
-    the all-plus matrix.  The shapes depend only on (r, n).  With
-    include_trivial the degenerate one-segment shape is emitted in its
-    lexicographic position, so a scan over the stream covers every acyclic
-    reorientation class.
+    sequences, the class order: these are the classes of the all-plus
+    matrix.  The shapes depend only on (r, n).  With include_trivial the
+    degenerate one-segment shape is emitted in its lexicographic position,
+    so a scan over the stream covers every acyclic reorientation class.
     """
-    for drops, _, _ in _scan([0] * r, n):
+    for drops in _class_order(r, n):
         if drops or include_trivial:
             yield plain_travel(r, n, drops)
+
+
+def scan_classes(matrix: SignMatrix) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Stream (drops, flips, interior) over the acyclic reorientation classes.
+
+    Classes come in class order, the lexicographic order of breakpoints, so
+    the first class with a given interior count is the lexicographically
+    least witness.  `drops` are the 1-indexed drop columns of the class's
+    plain travel; `flips` and `interior` are column bitmasks (bit j for
+    column j + 1), the canonical reorientation and the interior set of the
+    reoriented matrix.  Each class is one ``_class_of`` call.
+    """
+    masks = _row_masks(matrix.rows)
+    turns = _turn_masks(masks)
+    for drops in _class_order(matrix.r, matrix.n):
+        yield (drops, *_class_of(masks, turns, matrix.n, drops))
 
 
 def count_plain_travels(r: int, n: int) -> int:
@@ -827,7 +747,8 @@ def reorientation_for_pt(matrix: SignMatrix, travel: Travel) -> frozenset[int]:
     (checked in the tests).
     """
     drops = _travel_drops(matrix, travel)
-    return _columns(_class_of(_row_masks(matrix.rows), matrix.n, drops)[0])
+    masks = _row_masks(matrix.rows)
+    return _columns(_class_of(masks, _turn_masks(masks), matrix.n, drops)[0])
 
 
 def min_interior(matrix: SignMatrix) -> tuple[int, Travel]:
@@ -841,12 +762,11 @@ def min_interior(matrix: SignMatrix) -> tuple[int, Travel]:
     after the first batch with a class that has no interior element, since
     no class can have fewer.
     """
-    r, n = matrix.r, matrix.n
-    best, witness = n + 1, 0
-    for start, full, cols in _class_lanes(matrix):
+    best, witness = matrix.n + 1, ()
+    for full, drops, cols in _class_lanes(matrix):
         value, lanes = _least_lanes(cols, full)
         if value < best:
-            best, witness = value, start + (lanes & -lanes).bit_length() - 1
+            best, witness = value, _decode_lane(drops, (lanes & -lanes).bit_length() - 1)
             if not best:
                 break
-    return best, plain_travel(r, n, _lane_drops(r, n, witness))
+    return best, plain_travel(matrix.r, matrix.n, witness)

@@ -31,7 +31,7 @@ from .travels import (
     Travel,
     _class_lanes,
     _compare_lanes,
-    _lane_drops,
+    _decode_lane,
     _least_lanes,
     _min_lanes,
     enumerate_plain_travels,  # noqa: F401  (perfbench/spans.py wraps it here)
@@ -251,7 +251,7 @@ def reproduce_counterexample(which: str) -> VerificationReport:
     found: tuple[int, ...] | None = None
     best = n + 1
     scanned = 0
-    for first, full, cols in _class_lanes(matrix):
+    for full, drops, cols in _class_lanes(matrix):
         scanned += full.bit_length()
         best = min(best, _least_lanes(cols, full)[0])
         if found is None:
@@ -259,7 +259,7 @@ def reproduce_counterexample(which: str) -> VerificationReport:
             for c, lanes in enumerate(cols):
                 match &= lanes if target_mask >> c & 1 else full ^ lanes
             if match:
-                found = _lane_drops(r, n, first + (match & -match).bit_length() - 1)
+                found = _decode_lane(drops, (match & -match).bit_length() - 1)
     witnesses = ()
     if found is not None:
         travel = plain_travel(r, n, found)

@@ -9,3 +9,32 @@ def test_every_exported_name_resolves_once():
     namespace = {}
     exec("from lomlab import *", namespace)  # AttributeError on a stale name
     assert set(lomlab.__all__) <= set(namespace)
+
+
+def test_every_private_helper_has_a_caller_in_src():
+    # a private top-level function or class that nothing in src/ refers to,
+    # apart from its own body, is dead code
+    import ast
+    from pathlib import Path
+
+    statements = []  # (module, top-level statement, names it refers to)
+    for path in sorted(Path(lomlab.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+            statements.append((path.name, stmt, names))
+    dead = [
+        f"{module}:{stmt.name}"
+        for module, stmt, _ in statements
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_")
+        and not stmt.name.startswith("__")
+        and not any(stmt.name in names for _, other, names in statements if other is not stmt)
+    ]
+    assert not dead, dead

@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -432,11 +433,8 @@ def test_breakpoints_end_at_n(r, pick):
 
 
 def _classes_match_single_class_evaluator(matrix):
-    from lomlab.travels import _class_of, _row_masks, _scan
-
-    masks = _row_masks(matrix.rows)
-    for drops, flips, interior in _scan(masks, matrix.n):
-        assert _class_of(masks, matrix.n, drops) == (flips, interior), (matrix, drops)
+    # scan_classes evaluates each class on its own, one _class_of call
+    assert _kernel_scan(matrix) == list(reference_scan(matrix, True)), matrix
 
 
 def test_single_class_evaluator_matches_scan_on_every_rank3_n6_board():
@@ -503,19 +501,18 @@ def test_min_interior_matches_reference_on_seeded_matrices():
 
 
 def test_lane_order_decodes_to_the_reference_drop_sets():
-    from lomlab.travels import _lane_drops
+    from lomlab.travels import _class_order
 
     for r in range(1, 7):
         for n in range(1, 11):
-            expect = reference_drop_sets(r, n, True)
-            assert [_lane_drops(r, n, lane) for lane in range(len(expect))] == expect, (r, n)
+            assert list(_class_order(r, n)) == reference_drop_sets(r, n, True), (r, n)
 
 
 @pytest.mark.parametrize("lanes", [1, 3, 64, 1 << 12])
 def test_batch_drop_planes_match_the_reference_drop_sets(monkeypatch, lanes):
     # each batch is a run of whole classes in class order, at most `lanes`
-    # wide, and bit l of its plane for column c says whether class start + l
-    # drops at c
+    # wide, and bit l of its plane for column c says whether the batch's
+    # l-th class drops at c
     from lomlab import travels
 
     monkeypatch.setattr(travels, "CLASS_LANES", lanes)
@@ -523,8 +520,8 @@ def test_batch_drop_planes_match_the_reference_drop_sets(monkeypatch, lanes):
         for n in range(1, 11):
             expect = reference_drop_sets(r, n, True)
             got = []
-            for start, full, drops in travels._drop_batches(r, n):
-                assert start == len(got) and 0 < full.bit_length() <= lanes
+            for full, drops in travels._drop_batches(r, n):
+                assert 0 < full.bit_length() <= lanes and not full & (full + 1)
                 assert len(drops) == n and not drops[0]  # column 1 never drops
                 for lane in range(full.bit_length()):
                     got.append(tuple(c + 1 for c, plane in enumerate(drops) if plane >> lane & 1))
@@ -546,7 +543,8 @@ def test_min_interior_stops_after_the_first_batch_with_a_zero(monkeypatch):
         )
     )
     monkeypatch.setattr(travels, "CLASS_LANES", 4)
-    starts = [start for start, _, _ in travels._drop_batches(4, 7)]
+    widths = [full.bit_length() for full, _ in travels._drop_batches(4, 7)]
+    starts = list(accumulate(widths, initial=0))[:-1]
     first_zero = next(i for i, (_, _, interior) in enumerate(reference_scan(matrix, True)) if not interior)
     assert (len(starts), first_zero) == (12, 14) and starts[4] <= first_zero < starts[5]
     evaluated = []
