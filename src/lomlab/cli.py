@@ -19,12 +19,9 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
-from . import bounds as bounds_mod
 from . import galerad
-from . import verifier
 from .chessboard import THEOREM_IDS, board_of, canonical_matrix, corners_for
 from .sign_matrix import MatrixFormatError, SignMatrix, reorient
-from .travels import bottom_travel, interior_elements, is_acyclic, top_travel
 
 USAGE_ERROR = 2
 DATA_ERROR = 3
@@ -62,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--t", type=_range_arg, default=None, help="t range, e.g. 0..4")
     p_verify.add_argument("--r", type=_range_arg, default=None, help="r range, e.g. 5..6")
     p_verify.add_argument("--n", type=_range_arg, default=None, help="n range (rank3-scan)")
-    p_verify.add_argument("--workers", type=int, default=verifier.available_cpus())
+    p_verify.add_argument("--workers", type=int, default=None, help="default: available CPUs")
     p_verify.add_argument("--out", type=Path, default=Path("reports"))
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--symmetry-prune", action="store_true")
@@ -122,7 +119,7 @@ def _append_report(out_dir: Path, name: str, text: str) -> Path:
     return path
 
 
-def _emit_fixtures(args, report: verifier.VerificationReport, out_dir: Path) -> None:
+def _emit_fixtures(args, report, out_dir: Path) -> None:
     if args.theorem not in THEOREM_IDS:
         return
     for witness in report.witnesses:
@@ -144,12 +141,15 @@ def _emit_fixtures(args, report: verifier.VerificationReport, out_dir: Path) -> 
 
 
 def _cmd_verify(args) -> int:
-    if args.workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    from . import verifier
+
+    workers = verifier.available_cpus() if args.workers is None else args.workers
+    if workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {workers}")
     reports: list[verifier.VerificationReport] = []
     hash_parts = ["verify", args.theorem, str(args.t), str(args.r), str(args.n), str(args.seed)]
     if args.theorem in THEOREM_IDS:
-        reports.append(verifier.verify_lower(args.theorem, args.t, args.r, workers=args.workers))
+        reports.append(verifier.verify_lower(args.theorem, args.t, args.r, workers=workers))
     elif args.theorem == "counterexamples":
         for which in sorted(verifier.COUNTEREXAMPLES):
             reports.append(verifier.reproduce_counterexample(which))
@@ -160,7 +160,7 @@ def _cmd_verify(args) -> int:
         for n in ns:
             reports.append(
                 verifier.exhaustive_rank3_scan(
-                    n, symmetry_prune=args.symmetry_prune, workers=args.workers
+                    n, symmetry_prune=args.symmetry_prune, workers=workers
                 )
             )
 
@@ -175,6 +175,8 @@ def _cmd_verify(args) -> int:
 
 
 def _bound_cell(table: str, n: int, d: int) -> tuple[str, str, str]:
+    from . import bounds as bounds_mod
+
     if table == "cyclic":
         return ("exact", str(bounds_mod.cyclic_facets(n, d)), "closed-form")
     if table == "stacked":
@@ -274,6 +276,8 @@ def _radon_report_name(args) -> str:
 
 
 def _cmd_matrix(args) -> int:
+    from .travels import bottom_travel, interior_elements, is_acyclic, top_travel
+
     matrix = SignMatrix.from_text(args.matrix.read_text())
     if args.reorient:
         matrix = reorient(matrix, [int(c) for c in args.reorient.split(",") if c])
@@ -293,6 +297,8 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from . import verifier
+
     budget = None if args.exhaustive else args.budget
     result = verifier.search_small_topes(args.r, args.n, budget=budget, seed=args.seed)
     parts = ["scan", str(args.r), str(args.n), str(budget), str(args.seed)]

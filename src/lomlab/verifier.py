@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Sequence
@@ -218,6 +217,8 @@ def _map_instances(fn, items, workers: int):
     workers = _pool_size(workers, len(items))
     if workers == 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import lomlab
 from lomlab.cli import main
 from lomlab.galerad import Coloring, PointConfig, is_radon_pair
 
@@ -52,6 +57,40 @@ def test_verify_dim2_passes(tmp_path, capsys):
     assert "seed: 0" in body
 
 
+# modules that start-up leaves unloaded until a command runs them
+LAZY_MODULES = (
+    "lomlab.verifier",
+    "lomlab.travels",
+    "lomlab.bounds",
+    "concurrent.futures.process",
+    "multiprocessing",
+)
+
+
+def _lazy_modules_loaded_by(code):
+    """The LAZY_MODULES that running `code` in a fresh interpreter loads."""
+    # one marked line carries the answer, so warnings or command output on
+    # the child's streams cannot leak into it
+    report = f"print('LAZY:', *(m for m in {LAZY_MODULES!r} if m in sys.modules))"
+    src = str(Path(lomlab.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\n{report}"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    (line,) = (line for line in done.stdout.splitlines() if line.startswith("LAZY:"))
+    return line.split()[1:]
+
+
+def test_start_up_loads_only_the_engine_the_command_runs(square, tmp_path):
+    assert _lazy_modules_loaded_by("import lomlab.cli") == []
+    radon = ["radon", str(square), "count", "--coloring", "RBRB", "--out", str(tmp_path)]
+    assert _lazy_modules_loaded_by(f"from lomlab.cli import main\nassert main({radon!r}) == 0") == []
+    # one worker runs in this process: the verifier, but no pool
+    verify = ["verify", "rank3-scan", "--n", "5", "--workers", "1", "--out", str(tmp_path)]
+    loaded = _lazy_modules_loaded_by(f"from lomlab.cli import main\nassert main({verify!r}) == 0")
+    assert loaded == ["lomlab.verifier", "lomlab.travels"]
+
+
 def test_verify_counterexamples(tmp_path, capsys):
     code, stdout, _ = run(
         ["verify", "counterexamples", "--out", str(tmp_path / "r")], capsys
@@ -60,15 +99,23 @@ def test_verify_counterexamples(tmp_path, capsys):
     assert stdout.count(": pass") == 3
 
 
-def test_verify_default_workers_is_the_affinity_count(monkeypatch):
-    import os
+def test_verify_default_workers_is_the_affinity_count(monkeypatch, tmp_path, capsys):
+    # the default is resolved when the verify command runs, not when the
+    # parser is built
+    from lomlab import verifier
 
-    from lomlab import cli
+    seen = []
+    verify_lower = verifier.verify_lower
+
+    def spy(*args, workers):
+        seen.append(workers)
+        return verify_lower(*args, workers=workers)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
-    args = cli._build_parser().parse_args(["verify", "dim2", "--t", "0"])
-    assert args.workers == 1
+    monkeypatch.setattr(verifier, "verify_lower", spy)
+    assert run(["verify", "dim2", "--t", "0", "--out", str(tmp_path)], capsys)[0] == 0
+    assert seen == [1]
 
 
 def test_verify_reports_are_append_only_and_deterministic(tmp_path, capsys):

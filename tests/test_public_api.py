@@ -5,10 +5,20 @@ import lomlab
 
 
 def test_every_exported_name_resolves_once():
+    # the export table names, for each public name, the module that defines
+    # it, so that first access imports that module and no other
+    import sys
+
     assert len(lomlab.__all__) == len(set(lomlab.__all__))
+    assert set(lomlab.__all__) <= set(dir(lomlab))
     namespace = {}
     exec("from lomlab import *", namespace)  # AttributeError on a stale name
     assert set(lomlab.__all__) <= set(namespace)
+    for module, names in lomlab._EXPORTS.items():
+        for name in names:
+            value = namespace[name]
+            assert value.__module__ == f"lomlab.{module}", name
+            assert getattr(sys.modules[value.__module__], name) is value, name
 
 
 def test_every_private_helper_has_a_caller_in_src():

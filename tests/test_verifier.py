@@ -78,7 +78,7 @@ def test_pool_size_is_clamped_to_tasks_and_affinity(monkeypatch):
 def serial_pool(monkeypatch):
     """Stand in for the process pool: run the tasks in this process and
     record the pool size each pool is started with."""
-    from lomlab import verifier
+    import concurrent.futures
 
     started = []
 
@@ -95,7 +95,7 @@ def serial_pool(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(verifier, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return started
 
 
