@@ -7,17 +7,20 @@ and reports.
 
 Every Radon decision reads one table: the chirotope of the lifted points,
 mapping each (d+1)-subset bitmask (bit i - 1 for point i) to the sign of
-det[(1, x_i)].  It is built once per configuration with integer Bareiss
-elimination, after scaling each point by the lcm of its denominators (a
-positive scale, which keeps every sign).  The pivotal facts used here, each
-covered by tests against independent oracles:
+det[(1, x_i)].  It is built once per configuration, after scaling each
+point by the lcm of its denominators (a positive scale, which keeps every
+sign), by one integer minor walk over the subsets in combinations order:
+subsets that share a prefix of points share that prefix's minors, and each
+further point is a Laplace expansion along its row.  The pivotal facts used
+here, each covered by tests against independent oracles:
 
   * a set of d + 2 points in general position has exactly one minimal Radon
     partition, read off the sign classes of its unique affine dependence,
     whose k-th cofactor sign is (-1)^k chi(subset minus its k-th point);
   * the same cofactors, as integers times the lcm scales, are that
     dependence itself (Cramer's rule), so the Gale transform reads the
-    values of the one determinant routine, _det, not just their signs;
+    values of the one determinant routine, _maximal_minors, not just
+    their signs;
   * a red/blue coloring induces that partition exactly when its color
     classes match the sign classes up to swapping the two colors, one mask
     comparison per subset;
@@ -42,9 +45,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations
+from functools import cache, cached_property
+from itertools import combinations, islice
 from math import lcm
+from operator import itemgetter, mul
 from typing import Iterable, Iterator
 
 from .exactlp import separating_functional
@@ -64,7 +68,7 @@ class GeneralPositionError(ValueError):
 
 
 class DegenerateSpanError(ValueError):
-    """Points do not affinely span their ambient dimension."""
+    """Fewer than d + 2 points: no affine dependence and no (d+2)-subset."""
 
 
 class LiftSeparationError(ValueError):
@@ -75,25 +79,61 @@ class PointFormatError(ValueError):
     """Malformed point or coloring text."""
 
 
-def _det(rows: list[list[int]]) -> int:
-    """Exact integer determinant, by Bareiss fraction-free elimination."""
-    mat = [row[:] for row in rows]
-    size = len(mat)
-    sign, prev = 1, 1
-    for k in range(size - 1):
-        if mat[k][k] == 0:
-            swap = next((i for i in range(k + 1, size) if mat[i][k] != 0), None)
-            if swap is None:
-                return 0
-            mat[k], mat[swap] = mat[swap], mat[k]
-            sign = -sign
-        top, pivot = mat[k], mat[k][k]
-        for row in mat[k + 1 :]:
-            lead = row[k]
-            for j in range(k + 1, size):
-                row[j] = (row[j] * pivot - lead * top[j]) // prev
-        prev = pivot
-    return sign * mat[-1][-1]
+@cache
+def _expansion_plans(width: int) -> list[list[tuple[itemgetter, itemgetter]]]:
+    """Laplace plans for the minors of a row prefix, per prefix size k.
+
+    Entry k - 1 lists, for each k-subset of the width columns in
+    combinations order, the pair (pick the k signed entries of the new row,
+    pick the k minors of the previous prefix): the minor is the sum of their
+    products, expanded along the prefix's last row.  A signed row is the row
+    followed by its negation, so entry j + width is -row[j].  A 1-row prefix
+    has its row as minors, so entry 0 is empty.
+    """
+    plans: list[list[tuple[itemgetter, itemgetter]]] = [[]]
+    index = {(j,): j for j in range(width)}
+    for k in range(2, width + 1):
+        cols = list(combinations(range(width), k))
+        plans.append([
+            (
+                itemgetter(*(j + width * ((k - 1 + t) % 2) for t, j in enumerate(c))),
+                itemgetter(*(index[c[:t] + c[t + 1 :]] for t in range(k))),
+            )
+            for c in cols
+        ])
+        index = {c: i for i, c in enumerate(cols)}
+    return plans
+
+
+def _maximal_minors(rows: list[list[int]]) -> list[int]:
+    """Determinant of every width-subset of the integer rows, in
+    combinations order, width being the row length.
+
+    The walk follows the combinations tree: a node is a row prefix and holds
+    its minors on every column subset of its size, and each child expands
+    along its new row, so subsets that share a prefix share its minors.
+    """
+    n, width = len(rows), len(rows[0])
+    if width == 1:
+        return [row[0] for row in rows]
+    plans = _expansion_plans(width)
+    signed = [row + [-v for v in row] for row in rows]
+    dets: list[int] = []
+    [(leaf_row, leaf_minors)] = plans[-1]
+
+    def grow(start: int, depth: int, minors) -> None:
+        if depth == width - 1:
+            cofactors = leaf_minors(minors)
+            dets.extend(sum(map(mul, leaf_row(row), cofactors)) for row in signed[start:])
+            return
+        plan = plans[depth]
+        for i in range(start, n - width + depth + 1):
+            row = signed[i]
+            grow(i + 1, depth + 1, [sum(map(mul, pick(row), sub(minors))) for pick, sub in plan])
+
+    for i in range(n - width + 1):
+        grow(i + 1, 1, rows[i])
+    return dets
 
 
 def _lifted_rows(points: Iterable[Vector]) -> list[list[int]]:
@@ -139,15 +179,14 @@ class PointConfig:
         for p in self.points:
             if len(p) != self.dim:
                 raise ValueError(f"point {p} does not have dimension {self.dim}")
-        rows = _lifted_rows(self.points)
+        dets = _maximal_minors(_lifted_rows(self.points))
+        size = self.dim + 1
+        if 0 in dets:
+            subset = next(islice(combinations(range(1, self.n + 1), size), dets.index(0), None))
+            raise GeneralPositionError(subset)
         # a subset's mask is the sum of its combinations tuple of unit bits
-        bits, size = [1 << i for i in range(self.n)], self.dim + 1
-        table = {}
-        for subset, masks in zip(combinations(range(self.n), size), combinations(bits, size)):
-            det = _det([rows[i] for i in subset])
-            if det == 0:
-                raise GeneralPositionError(tuple(i + 1 for i in subset))
-            table[sum(masks)] = 1 if det > 0 else -1
+        masks = combinations([1 << i for i in range(self.n)], size)
+        table = {sum(m): 1 if det > 0 else -1 for m, det in zip(masks, dets)}
         object.__setattr__(self, "chirotope", table)
 
     @property
@@ -163,14 +202,15 @@ class PointConfig:
         equals k being even: the sign of the k-th cofactor of the unique
         affine dependence.
         """
-        chi = self.chirotope
+        positive = {mask: sign > 0 for mask, sign in self.chirotope.items()}
         out = {}
         for masks in combinations([1 << i for i in range(self.n)], self.dim + 2):
             members = sum(masks)
-            pos = 0
-            for k, bit in enumerate(masks):
-                if (chi[members ^ bit] > 0) == (k % 2 == 0):
+            pos, even = 0, True
+            for bit in masks:
+                if positive[members ^ bit] == even:
                     pos |= bit
+                even = not even
             out[members] = (pos, members ^ pos)
         return out
 
@@ -259,6 +299,11 @@ class GaleTransform:
     dependences: tuple[Vector, ...] = field(compare=False)
 
 
+def _require_dependences(config: PointConfig, purpose: str) -> None:
+    if config.n < config.dim + 2:
+        raise DegenerateSpanError(f"need n >= d + 2 {purpose}, got n={config.n} d={config.dim}")
+
+
 def gale_transform(config: PointConfig) -> GaleTransform:
     """Dual vectors from an exact basis of the affine dependences.
 
@@ -269,16 +314,17 @@ def gale_transform(config: PointConfig) -> GaleTransform:
     with L_s the point's lcm scale.  Each basis dependence satisfies
     sum(alpha_i * x_i) = 0 and sum(alpha_i) = 0; this is re-verified.
     """
+    _require_dependences(config, "for a Gale transform")
     n, d = config.n, config.dim
-    if n < d + 2:
-        raise DegenerateSpanError(f"need n >= d + 2 for a Gale transform, got n={n} d={d}")
     rows = _lifted_rows(config.points)
     basis = []
     for f in range(d + 1, n):
         subset = tuple(range(d + 1)) + (f,)
+        # combinations order drops the last row first: reversed, minor k
+        # leaves out s_k
+        minors = _maximal_minors([rows[i] for i in subset])[::-1]
         alpha = [0] * n
-        for k, s in enumerate(subset):
-            minor = _det([rows[i] for i in subset if i != s])
+        for k, (s, minor) in enumerate(zip(subset, minors)):
             alpha[s] = (-1) ** k * minor * rows[s][0]
         basis.append([Fraction(a, alpha[f]) for a in alpha])
     for alpha in basis:
@@ -338,8 +384,7 @@ def is_radon_pair(config: PointConfig, subset: Iterable[int], coloring: Coloring
 
 
 def _checked_red(config: PointConfig, coloring: Coloring) -> int:
-    if config.n < config.dim + 2:
-        raise ValueError("need n >= d + 2 to count induced partitions")
+    _require_dependences(config, "to count induced partitions")
     if coloring.n != config.n:
         raise ValueError("coloring length must match the configuration")
     return _red_bits(coloring)
@@ -366,34 +411,28 @@ def _flip_tables(config: PointConfig) -> list[list[tuple[int, int, list[int]]]]:
     """Per point p, lookup tables of the subsets through p that a flip of p
     leaves uninduced.
 
-    Number the subsets containing p by j.  Column same[q] (other[q]) has bit
-    j set when point q is on p's side (the other side) of subset j's
-    partition; the columns come from one pass over the partition table,
-    walking each subset's members only.  With p red, subset j is missed
-    when some other member q is red on the other side or blue on p's side,
-    so the missed set is an OR over q of other[q] or same[q].  The points
-    are cut into ceil(n / _CHUNK) chunks of consecutive bits, of near-equal
-    sizes, and each chunk (shift, full, table) tabulates that OR for every
-    red pattern r of its points, with p's own column zero so p's bit is
-    ignored.  With p blue the roles of same and other swap, which is the
-    same table read at r ^ full.
+    Number the subsets by j in combinations order.  One pass over them sets
+    bit j of member[q] when subset j contains q, and of side[q] when q is on
+    its pos side.  Then column same[q] (other[q]) of p, the subsets through
+    p and q with q on p's side (the other side), is member[p] & member[q]
+    without (with) the bits where side[p] and side[q] differ.  With p red,
+    subset j is missed when some other member q is red on the other side or
+    blue on p's side, so the missed set is an OR over q of other[q] or
+    same[q].  The points are cut into ceil(n / _CHUNK) chunks of
+    consecutive bits, of near-equal sizes, and each chunk (shift, full,
+    table) tabulates that OR for every red pattern r of its points, with
+    p's own column zero so p's bit is ignored.  With p blue the roles of
+    same and other swap, which is the same table read at r ^ full.
     """
-    n, partitions = config.n, config._partitions
-    same = [[0] * n for _ in range(n)]
-    other = [[0] * n for _ in range(n)]
-    through = [0] * n  # subsets through p numbered so far
-    for subset, (pos, _neg) in zip(combinations(range(n), config.dim + 2), partitions.values()):
-        for p in subset:
-            bit = 1 << through[p]
-            through[p] += 1
-            near = pos >> p & 1
-            same_p, other_p = same[p], other[p]
-            for q in subset:
-                if q != p:
-                    if pos >> q & 1 == near:
-                        same_p[q] |= bit
-                    else:
-                        other_p[q] |= bit
+    n = config.n
+    member, side = [0] * n, [0] * n
+    subsets = combinations(range(n), config.dim + 2)
+    for j, (subset, (pos, _neg)) in enumerate(zip(subsets, config._partitions.values())):
+        bit = 1 << j
+        for q in subset:
+            member[q] |= bit
+            if pos >> q & 1:
+                side[q] |= bit
     parts = -(-n // _CHUNK)  # ceil(n / _CHUNK)
     cuts = [n * k // parts for k in range(parts + 1)]
     tables = [[]]  # point 1 never flips
@@ -402,7 +441,9 @@ def _flip_tables(config: PointConfig) -> list[list[tuple[int, int, list[int]]]]:
         for shift, stop in zip(cuts, cuts[1:]):
             table = [0]  # doubling: bit b of the index is point shift + b red
             for q in range(shift, stop):
-                blue_q, red_q = same[p][q], other[p][q]
+                both = member[p] & member[q] if q != p else 0
+                red_q = both & (side[p] ^ side[q])  # other[q]
+                blue_q = both ^ red_q  # same[q]
                 table = [t | blue_q for t in table] + [t | red_q for t in table]
             chunks.append((shift, len(table) - 1, table))
         tables.append(chunks)
@@ -419,9 +460,11 @@ def max_r(config: PointConfig) -> tuple[int, Coloring]:
     subsets through that point are recounted.  The subsets that the point
     misses as red, and as blue, are one table lookup per chunk of at most
     _CHUNK points in the _flip_tables of that point, OR-ed over the chunks,
-    so a step costs ceil(n / _CHUNK) lookups per color.  Configurations beyond 22
-    points are refused; use max_r_sampled for those.
+    so a step costs ceil(n / _CHUNK) lookups per color.  Fewer than d + 2
+    points raise DegenerateSpanError.  Configurations beyond 22 points are
+    refused; use max_r_sampled for those.
     """
+    _require_dependences(config, "to maximize induced partitions")
     n = config.n
     if n > MAX_EXHAUSTIVE_POINTS:
         raise ValueError(
@@ -457,6 +500,7 @@ def max_r_sampled(config: PointConfig, samples: int, seed: int) -> tuple[int, Co
     The result is a lower bound on the true maximum and is labeled
     approximate by construction; the exhaustive contract stays with max_r.
     """
+    _require_dependences(config, "to maximize induced partitions")
     rng = random.Random(seed)
     partitions = config._partitions
     best = -1

@@ -10,9 +10,10 @@ replaced; the reference Radon functions are the Fraction cofactor loops
 that the chirotope table and the Gray-code max_r replaced.  The travel
 interplay rule (``parallel_rule_check``) is a consistency check that only
 the tests run on the top and bottom walks.  The reference Gale transform is
-the Fraction RREF null space that the integer minors replaced, and the
-reference bottom walk is the leftward walk that the rotated top walk
-replaced.  ``reference_feasible_nonneg`` is the Fraction-tableau phase-1
+the Fraction RREF null space that the integer minors replaced; the
+positive-cocircuit count reads induced partitions off the Gale dual through
+that null space.  The reference bottom walk is the leftward walk that the
+rotated top walk replaced.  ``reference_feasible_nonneg`` is the Fraction-tableau phase-1
 simplex that exactlp's fraction-free integer rows replaced; the hull tests
 and ``reference_separating_functional`` run on it.
 """
@@ -25,7 +26,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from lomlab.chessboard import Chessboard, board_of, corners_for
-from lomlab.galerad import BLUE, RED, Coloring, PointConfig
+from lomlab.galerad import BLUE, RED, Coloring, PointConfig, gale_transform
 from lomlab.sign_matrix import SignMatrix
 from lomlab.travels import Travel, bottom_travel, min_interior, top_travel
 
@@ -550,6 +551,37 @@ def _reference_count(splits, coloring: Coloring) -> int:
 
 def reference_count_induced(config: PointConfig, coloring: Coloring) -> int:
     return _reference_count(_reference_splits(config), coloring)
+
+
+@lru_cache(maxsize=1)
+def _cocircuit_signs(config: PointConfig):
+    """Per (d+2)-subset S, in combinations order: S and, for each point of
+    S, whether the normal of the span of the Gale vectors outside S is
+    positive on its vector.  That normal is a cocircuit of the dual, and its
+    signs on S are the circuit signs of S up to a global sign."""
+    vectors = [list(v) for v in gale_transform(config).vectors]
+    # a zero row leaves the null space alone and keeps the span {0} when
+    # no vector is outside S (n = d + 2)
+    zero = [Fraction(0)] * (config.n - config.dim - 1)
+    out = []
+    for subset in combinations(range(config.n), config.dim + 2):
+        outside = [v for i, v in enumerate(vectors) if i not in subset]
+        (normal,) = reference_null_space(outside + [zero])
+        values = [sum(a * b for a, b in zip(normal, vectors[i])) for i in subset]
+        assert 0 not in values, "Gale vectors not in linear general position"
+        out.append((subset, [v > 0 for v in values]))
+    return out
+
+
+def reference_positive_cocircuits(config: PointConfig, coloring: Coloring) -> int:
+    """Induced partitions counted from the dual side: the (d+2)-subsets S
+    whose cocircuit, with the vectors of blue points negated, has one sign
+    on every point of S."""
+    count = 0
+    for subset, positive in _cocircuit_signs(config):
+        signs = {p == (coloring.labels[i] == RED) for p, i in zip(positive, subset)}
+        count += len(signs) == 1
+    return count
 
 
 def reference_colorings(n: int):

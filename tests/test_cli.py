@@ -331,6 +331,22 @@ EXIT_CASES = [
         "data error: need n >= d + 2 for a Gale transform", id="radon-gale-too-few-points",
     ),
     pytest.param(
+        ["radon", "{tmp}/triangle.txt", "count", "--coloring", "RBR"], 3,
+        "data error: need n >= d + 2 to count", id="radon-count-too-few-points",
+    ),
+    pytest.param(
+        ["radon", "{tmp}/triangle.txt", "lift", "--coloring", "RBR"], 3,
+        "data error: need n >= d + 2 to count", id="radon-lift-too-few-points",
+    ),
+    pytest.param(
+        ["radon", "{tmp}/triangle.txt", "lift"], 3,
+        "data error: need n >= d + 2 to maximize", id="radon-lift-uncolored-too-few-points",
+    ),
+    pytest.param(
+        ["radon", "{tmp}/triangle.txt", "maximize"], 3,
+        "data error: need n >= d + 2 to maximize", id="radon-maximize-too-few-points",
+    ),
+    pytest.param(
         ["radon", "{tmp}/line5.txt", "lift"], 1, "lift not applicable: ", id="radon-lift-line5"
     ),
     pytest.param(

@@ -40,6 +40,7 @@ from oracles import (
     reference_max_r_sampled,
     reference_minimal_partition,
     reference_null_space,
+    reference_positive_cocircuits,
     reference_separating_functional,
     zero_in_hull,
 )
@@ -408,11 +409,13 @@ def _coordinate(rng, fractional, bound):
 
 
 @st.composite
-def configs(draw, max_extra=4, max_dim=3):
+def configs(draw, max_extra=4, max_dim=3, max_n=None):
     """General-position configurations, d 1 to max_dim and n from d + 2 to
-    d + 2 + max_extra, with integer or fractional coordinates."""
+    d + 2 + max_extra (at most max_n), with integer or fractional
+    coordinates."""
     d = draw(st.integers(1, max_dim))
-    n = draw(st.integers(d + 2, d + 2 + max_extra))
+    top = d + 2 + max_extra
+    n = draw(st.integers(d + 2, top if max_n is None else min(top, max_n)))
     fractional = draw(st.booleans())
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     while True:
@@ -426,6 +429,23 @@ def configs(draw, max_extra=4, max_dim=3):
 def _colorings(config, seed, count):
     rng = random.Random(seed)
     return [Coloring(tuple(rng.choice("RB") for _ in range(config.n))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("width", range(1, 6))
+def test_maximal_minors_match_determinant_oracle(width):
+    # entries in [-2, 2] make zero minors common; every width-subset of the
+    # rows is checked, in combinations order
+    rng = random.Random(width)
+    zeros = 0
+    for _ in range(12):
+        rows = [[rng.randint(-2, 2) for _ in range(width)] for _ in range(width + rng.randint(0, 3))]
+        expected = [
+            _det([[Fraction(v) for v in row] for row in subset])
+            for subset in combinations(rows, width)
+        ]
+        assert galerad._maximal_minors(rows) == expected
+        zeros += expected.count(0)
+    assert zeros > 0
 
 
 @given(configs())
@@ -493,6 +513,25 @@ def test_radon_pair_and_count_match_reference(config, seed):
 @settings(max_examples=60, deadline=None)
 def test_max_r_matches_reference_loop(config):
     assert max_r(config) == reference_max_r(config)
+
+
+@pytest.mark.parametrize("d", (4, 5))
+def test_max_r_matches_reference_loop_in_higher_dimensions(d):
+    for n in range(d + 2, d + 6):
+        config = random_point_config(n, d, seed=10 * d + n)
+        assert max_r(config) == reference_max_r(config)
+
+
+@given(configs(max_extra=7, max_dim=4, max_n=9))
+@settings(max_examples=40, deadline=None)
+def test_count_matches_positive_cocircuits_of_the_gale_dual(config):
+    # every coloring with point 1 red; swapping the colors changes neither count
+    values = []
+    for coloring in reference_colorings(config.n):
+        value = count_induced(config, coloring)
+        assert value == reference_positive_cocircuits(config, coloring)
+        values.append(value)
+    assert max_r(config)[0] == max(values)
 
 
 def test_max_r_ties_go_to_the_least_mask():
@@ -608,6 +647,21 @@ def test_count_induced_validates_its_inputs():
         count_induced(triangle, Coloring.from_string("RBR"))
     with pytest.raises(ValueError):
         is_radon_pair(SQUARE, (1, 1, 2, 3), Coloring.from_string("RBBR"))
+
+
+def test_fewer_than_d_plus_2_points_raise_one_error():
+    triangle = PointConfig.from_rows(2, [(0, 0), (1, 0), (0, 1)])
+    coloring = Coloring.from_string("RBR")
+    calls = (
+        lambda: gale_transform(triangle),
+        lambda: count_induced(triangle, coloring),
+        lambda: galerad.induced_flags(triangle, coloring),
+        lambda: max_r(triangle),
+        lambda: max_r_sampled(triangle, 5, 0),
+    )
+    for call in calls:
+        with pytest.raises(DegenerateSpanError, match=r"need n >= d \+ 2 .*, got n=3 d=2"):
+            call()
 
 
 # ---------------------------------------------------------------------------
