@@ -5,9 +5,12 @@ x >= 0 with A x = b?  The simplex uses Bland's rule, which guarantees
 termination.  Each tableau row is stored fraction-free, as Python ints over
 one positive denominator; the true row is ``ints / den``.  A pivot takes one
 gcd per row instead of one per arithmetic operation, and every comparison is
-exact on the same rationals a Fraction tableau holds.  So the pivots are
-those of the Fraction simplex (kept in ``tests/oracles.py`` as the
-reference), and so is the solution.
+exact on the same rationals a Fraction tableau holds.  Half of the program's
+columns repeat the other half up to sign (w = x+ - x-, and each slack
+against its artificial), so only the independent half is stored and Bland's
+rule reads the rest off it.  So the pivots are those of the full Fraction
+simplex (kept in ``tests/oracles.py`` as the reference), and so is the
+solution.  Coordinates are exact: a float raises TypeError.
 """
 
 from __future__ import annotations
@@ -17,81 +20,13 @@ from math import gcd, lcm
 from typing import Sequence
 
 Vector = list[Fraction]
-Matrix = list[list[Fraction]]
 
 
-def _feasible_nonneg(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vector | None:
-    """A nonnegative exact solution of A x = b, or None when infeasible.
-
-    A has at least one row, and all its rows have the same length.
-    """
-    m = len(rows)
-    n = len(rows[0])
-    width = n + m
-    # row i is [A_i | artificial e_i | b_i], sign-flipped so that b_i >= 0,
-    # scaled to integers by the lcm of its denominators
-    tableau: list[list[int]] = []
-    dens: list[int] = []
-    for i, (row, beta) in enumerate(zip(rows, rhs)):
-        entries = [*row, beta]
-        den = lcm(*(e.denominator for e in entries))
-        sign = -1 if beta < 0 else 1
-        ints = [sign * e.numerator * (den // e.denominator) for e in entries]
-        ints[n:n] = [0] * m
-        ints[n + i] = den
-        tableau.append(ints)
-        dens.append(den)
-    basis = [n + i for i in range(m)]
-
-    # objective row: cost of artificials, reduced through the starting basis,
-    # i.e. minus the sum of the rows, with the artificial columns cleared
-    cost_den = lcm(*dens)
-    cost = [0] * (width + 1)
-    for ints, den in zip(tableau, dens):
-        scale = cost_den // den
-        for j, v in enumerate(ints):
-            cost[j] -= v * scale
-    for i in range(m):
-        cost[n + i] = 0
-    tableau.append(cost)
-    dens.append(cost_den)
-    for i in range(m + 1):
-        _reduce(tableau, dens, i)
-
-    while True:
-        # den > 0, so the int row has the signs of the true row
-        cost = tableau[m]
-        enter = next((j for j in range(width) if cost[j] < 0), None)
-        if enter is None:
-            break
-        # Bland: smallest ratio rhs_i / coeff_i (dens cancel), compared by
-        # cross-multiplying positive coefficients; ties to the smallest
-        # basis variable
-        leave = None
-        for i in range(m):
-            coeff = tableau[i][enter]
-            if coeff > 0:
-                if leave is None:
-                    leave = i
-                    continue
-                lhs = tableau[i][width] * tableau[leave][enter]
-                rhs_best = tableau[leave][width] * coeff
-                if lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[leave]):
-                    leave = i
-        if leave is None:
-            raise ArithmeticError("phase-1 objective is unbounded; cannot happen")
-        _pivot(tableau, dens, leave, enter)
-        basis[leave] = enter
-
-    if cost[width] != 0:
-        return None
-    solution: Vector = [Fraction(0)] * n
-    for i, var in enumerate(basis):
-        if var < n:
-            solution[var] = Fraction(tableau[i][width], dens[i])
-        elif tableau[i][width] != 0:
-            return None  # artificial stuck at a positive level
-    return solution
+def as_fraction(value) -> Fraction:
+    """An exact coordinate; floats are refused, so none enters a decision."""
+    if isinstance(value, float):
+        raise TypeError("coordinates must be exact (int, Fraction or 'p/q' text)")
+    return Fraction(value)
 
 
 def _reduce(tableau: list[list[int]], dens: list[int], i: int) -> None:
@@ -102,19 +37,19 @@ def _reduce(tableau: list[list[int]], dens: list[int], i: int) -> None:
         dens[i] //= g
 
 
-def _pivot(tableau: list[list[int]], dens: list[int], leave: int, enter: int) -> None:
-    """Pivot on (leave, enter); the last row of the tableau is the cost row.
+def _pivot(tableau: list[list[int]], dens: list[int], leave: int, column: list[int]) -> None:
+    """Pivot on row leave, with column the int entries of every row in the
+    entering column; the last row of the tableau is the cost row.
 
-    The pivot row divided by its true pivot value is ``ints / ints[enter]``,
+    The pivot row divided by its true pivot value is ``ints / column[leave]``,
     and row i becomes ``(row_i * pd - f * pivot_row) / (den_i * pd)`` with
     pd the pivot row's entry and f row i's entry in the entering column.
     """
-    dens[leave] = tableau[leave][enter]
+    dens[leave] = column[leave]
     _reduce(tableau, dens, leave)
     pivot_row = tableau[leave]
     pd = dens[leave]
-    for i, row in enumerate(tableau):
-        f = row[enter]
+    for i, (row, f) in enumerate(zip(tableau, column)):
         if i == leave or f == 0:
             continue
         tableau[i] = [v * pd - f * p for v, p in zip(row, pivot_row)]
@@ -122,15 +57,47 @@ def _pivot(tableau: list[list[int]], dens: list[int], leave: int, enter: int) ->
         _reduce(tableau, dens, i)
 
 
+def _entering(cost: list[int], den: int, dim: int, count: int):
+    """Bland's entering variable, the first with a negative reduced cost in
+    x+, x-, s, a order, as (variable number, stored column, sign of that
+    column in the constraint rows, the cost row's int entry); None at the
+    optimum.  den > 0, so the int row has the signs of the true row."""
+    for j in range(dim):
+        if cost[j] < 0:
+            return j, j, 1, cost[j]
+    for j in range(dim):
+        if cost[j] > 0:
+            return dim + j, j, -1, -cost[j]
+    for k in range(dim, dim + count):
+        if cost[k] > den:
+            return dim + k, k, -1, den - cost[k]
+    for k in range(dim, dim + count):
+        if cost[k] < 0:
+            return dim + count + k, k, 1, cost[k]
+    return None
+
+
 def separating_functional(
     vectors: Sequence[Sequence[Fraction]], index: int
 ) -> Vector | None:
     """An exact w with <w, v_index> >= 1 and <w, v_k> <= -1 for all k != index.
 
-    Returns None when no such strictly separating functional exists.  Free
-    coordinates are encoded as differences of nonnegative pairs, with one
-    slack variable per vector.  Raises ValueError on an empty list of vectors
-    or an index outside 0..len(vectors) - 1.
+    Returns None when no such strictly separating functional exists.  The
+    phase-1 program has the variables x+ and x- (w = x+ - x-), one slack s
+    and one artificial a per vector, in that order, and row k, signed so
+    that its right-hand side is 1, reads
+
+        e_k <v_k, x+ - x-> - s_k + a_k = 1,  e_k = 1 if k == index else -1.
+
+    Every tableau is a sequence of row operations on these rows, so its x-
+    columns are minus its x+ columns and its slack columns minus its
+    artificial columns.  The cost row is the reduced cost of sum(a), and
+    there the slack entry is 1 minus the artificial entry.  Only the x+ and
+    artificial columns and the right-hand side are stored; Bland's rule
+    still scans x+, x-, s and a in that order and breaks ties on the
+    original variable numbers, so the pivots are those of the full tableau.
+    Raises ValueError on an empty list of vectors or an index outside
+    0..len(vectors) - 1, and TypeError on a float coordinate.
     """
     if not vectors:
         raise ValueError("separating_functional needs at least one vector")
@@ -138,16 +105,70 @@ def separating_functional(
     if not 0 <= index < count:
         raise ValueError(f"index {index} is outside 0..{count - 1}")
     dim = len(vectors[0])
-    rows: Matrix = []
-    rhs: Vector = []
+    art, rhs = dim, dim + count  # first artificial column, right-hand side
+    tableau: list[list[int]] = []
+    dens: list[int] = []
     for k, vec in enumerate(vectors):
         if len(vec) != dim:
             raise ValueError("vectors must share a dimension")
-        row = [Fraction(c) for c in vec] + [-Fraction(c) for c in vec] + [Fraction(0)] * count
-        row[2 * dim + k] = Fraction(-1) if k == index else Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(1) if k == index else Fraction(-1))
-    solution = _feasible_nonneg(rows, rhs)
-    if solution is None:
+        coords = [as_fraction(c) for c in vec]
+        den = lcm(*(c.denominator for c in coords))
+        sign = 1 if k == index else -1
+        ints = [sign * c.numerator * (den // c.denominator) for c in coords] + [0] * count + [den]
+        ints[art + k] = den
+        tableau.append(ints)
+        dens.append(den)
+    # basis variables by their number in x+, x-, s, a order
+    basis = list(range(2 * dim + count, 2 * dim + 2 * count))
+
+    # cost row: minus the sum of the rows, with the artificial columns cleared
+    cost_den = lcm(*dens)
+    cost = [0] * (rhs + 1)
+    for ints, den in zip(tableau, dens):
+        scale = cost_den // den
+        for j, v in enumerate(ints):
+            cost[j] -= v * scale
+    cost[art:rhs] = [0] * count
+    tableau.append(cost)
+    dens.append(cost_den)
+    for i in range(count + 1):
+        _reduce(tableau, dens, i)
+
+    while True:
+        enter = _entering(tableau[count], dens[count], dim, count)
+        if enter is None:
+            break
+        var, col, sign, cost_entry = enter
+        column = [sign * row[col] for row in tableau[:count]] + [cost_entry]
+        # Bland: smallest ratio rhs_i / coeff_i (dens cancel), compared by
+        # cross-multiplying positive coefficients; ties to the smallest
+        # basis variable
+        leave = None
+        for i in range(count):
+            coeff = column[i]
+            if coeff > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                lhs = tableau[i][rhs] * column[leave]
+                rhs_best = tableau[leave][rhs] * coeff
+                if lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[leave]):
+                    leave = i
+        if leave is None:
+            raise ArithmeticError("phase-1 objective is unbounded; cannot happen")
+        _pivot(tableau, dens, leave, column)
+        basis[leave] = var
+
+    if tableau[count][rhs] != 0:
         return None
-    return [solution[j] - solution[dim + j] for j in range(dim)]
+    w = [Fraction(0)] * dim
+    for i, var in enumerate(basis):
+        if var < 2 * dim:
+            value = Fraction(tableau[i][rhs], dens[i])
+            if var < dim:
+                w[var] += value
+            else:
+                w[var - dim] -= value
+        elif var >= 2 * dim + count and tableau[i][rhs] != 0:
+            return None  # artificial stuck at a positive level
+    return w

@@ -6,12 +6,19 @@ floating point enters any decision path.  Points are 1-indexed in errors
 and reports.
 
 Every Radon decision reads one table: the chirotope of the lifted points,
-mapping each (d+1)-subset bitmask (bit i - 1 for point i) to the sign of
-det[(1, x_i)].  It is built once per configuration, after scaling each
-point by the lcm of its denominators (a positive scale, which keeps every
-sign), by one integer minor walk over the subsets in combinations order:
-subsets that share a prefix of points share that prefix's minors, and each
-further point is a Laplace expansion along its row.  The pivotal facts used
+the sign of det[(1, x_i)] for each (d+1)-subset, kept as one string of
+"1"/"0" chars in combinations order.  It is built once per configuration,
+after scaling each point by the lcm of its denominators (a positive scale,
+which keeps every sign), by one integer minor walk over the subsets in
+combinations order: subsets that share a prefix of points share that
+prefix's minors, and each further point is a Laplace expansion along its
+row.  A layout that depends only on (n, d + 2), built once per shape by
+C-level maps, lets every per-subset question be a few operations on masks
+with one bit per (d+2)-subset: per rank r, an itemgetter reads the sign of
+every subset minus its r-th member out of the string, so one int() gives
+the mask of subsets whose r-th member is on the pos side, and a byte string
+of every subset's r-th member, translated through a per-point table, gives
+the mask of subsets whose r-th member is red.  The pivotal facts used
 here, each covered by tests against independent oracles:
 
   * a set of d + 2 points in general position has exactly one minimal Radon
@@ -22,8 +29,9 @@ here, each covered by tests against independent oracles:
     values of the one determinant routine, _maximal_minors, not just
     their signs;
   * a red/blue coloring induces that partition exactly when its color
-    classes match the sign classes up to swapping the two colors, one mask
-    comparison per subset;
+    classes match the sign classes up to swapping the two colors, so the
+    induced subsets are the AND over the ranks of "red equals pos side",
+    OR the AND of "red differs from pos side";
   * appending a 1 to each point and negating the blue ones turns induced
     partitions into (d+2)-subsets of rays whose convex hull captures the
     origin, which connects the count to facets of a dual configuration via
@@ -45,13 +53,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
-from itertools import combinations, islice
-from math import lcm
+from functools import cache, cached_property, lru_cache
+from itertools import combinations, count, islice
+from math import comb, lcm
 from operator import itemgetter, mul
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .exactlp import separating_functional
+from .exactlp import as_fraction, separating_functional
 
 Vector = tuple[Fraction, ...]
 
@@ -150,10 +158,42 @@ def _bits(indices: Iterable[int]) -> int:
     return sum(1 << i for i in indices)
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("coordinates must be exact (int, Fraction or 'p/q' text)")
-    return Fraction(value)
+@lru_cache(maxsize=4)
+def _subset_layout(n: int, size: int) -> tuple[list[itemgetter], list[bytes]]:
+    """(faces, members): how the size-subsets of n points read the signs of
+    their (size - 1)-subsets, rank by rank.
+
+    The subsets are listed last to first in combinations order, so that a
+    string with one digit per subset, read by int(text, 2), puts subset j
+    at bit j.  faces[r] picks, from a string with one char per
+    (size - 1)-subset in combinations order, the char of every subset
+    minus its r-th member; members[r] holds q + 1 for the r-th member q of
+    every subset, so bytes.translate with a 256-byte table reads one digit
+    per subset from any per-point table.  Both depend on (n, size) alone.
+    A subset is a tuple of unit bits, so its mask is their sum and the
+    bit length of its r-th unit is q + 1.
+    """
+    if n > 255:
+        raise ValueError(f"Radon partitions index points by byte: n={n} exceeds 255")
+    units = [1 << q for q in range(n)]
+    subsets = list(combinations(units, size))[::-1]
+    if not subsets:
+        return [], []
+    masks = list(map(sum, subsets))
+    faces = dict(zip(map(sum, combinations(units, size - 1)), count()))
+    picks = [itemgetter(r) for r in range(size)]
+    return (
+        [
+            itemgetter(*map(faces.__getitem__, map(int.__sub__, masks, map(pick, subsets))))
+            for pick in picks
+        ],
+        [bytes(map(int.bit_length, map(pick, subsets))) for pick in picks],
+    )
+
+
+def _digit_table(bits: str) -> bytes:
+    """bytes.translate table sending q + 1 to the digit bits[q]."""
+    return b"0" + bits.encode() + bytes(255 - len(bits))
 
 
 @dataclass(frozen=True)
@@ -161,15 +201,16 @@ class PointConfig:
     """n exact points in dimension d, in general position.
 
     General position (every (d+1)-subset affinely independent) is validated
-    at construction, while the chirotope table is built; violations raise
-    GeneralPositionError naming the first offending subset, in combinations
-    order, with 1-based labels.
+    at construction, while the chirotope signs are computed; violations
+    raise GeneralPositionError naming the first offending subset, in
+    combinations order, with 1-based labels.
     """
 
     dim: int
     points: tuple[Vector, ...]
-    # (d+1)-subset bitmask -> sign (+1 or -1) of det[(1, x_i)] over its points
-    chirotope: dict[int, int] = field(init=False, repr=False, compare=False)
+    # "1" where det[(1, x_i)] over the (d+1)-subset is positive, else "0",
+    # one char per subset in combinations order
+    signs: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -180,43 +221,40 @@ class PointConfig:
             if len(p) != self.dim:
                 raise ValueError(f"point {p} does not have dimension {self.dim}")
         dets = _maximal_minors(_lifted_rows(self.points))
-        size = self.dim + 1
         if 0 in dets:
-            subset = next(islice(combinations(range(1, self.n + 1), size), dets.index(0), None))
-            raise GeneralPositionError(subset)
-        # a subset's mask is the sum of its combinations tuple of unit bits
-        masks = combinations([1 << i for i in range(self.n)], size)
-        table = {sum(m): 1 if det > 0 else -1 for m, det in zip(masks, dets)}
-        object.__setattr__(self, "chirotope", table)
+            subsets = combinations(range(1, self.n + 1), self.dim + 1)
+            raise GeneralPositionError(next(islice(subsets, dets.index(0), None)))
+        signs = "".join(map("01".__getitem__, map((0).__lt__, dets)))
+        object.__setattr__(self, "signs", signs)
 
     @property
     def n(self) -> int:
         return len(self.points)
 
     @cached_property
-    def _partitions(self) -> dict[int, tuple[int, int]]:
-        """(d+2)-subset bitmask -> (pos, neg) masks of its minimal Radon
-        partition, in combinations order.
+    def chirotope(self) -> dict[int, int]:
+        """(d+1)-subset bitmask (bit i - 1 for point i) -> sign (+1 or -1)
+        of det[(1, x_i)] over its points."""
+        # a subset's mask is the sum of its combinations tuple of unit bits
+        masks = map(sum, combinations([1 << i for i in range(self.n)], self.dim + 1))
+        return {mask: 1 if sign == "1" else -1 for mask, sign in zip(masks, self.signs)}
 
-        Point s_k of the subset is in pos when chi(subset minus s_k) > 0
-        equals k being even: the sign of the k-th cofactor of the unique
-        affine dependence.
-        """
-        positive = {mask: sign > 0 for mask, sign in self.chirotope.items()}
-        out = {}
-        for masks in combinations([1 << i for i in range(self.n)], self.dim + 2):
-            members = sum(masks)
-            pos, even = 0, True
-            for bit in masks:
-                if positive[members ^ bit] == even:
-                    pos |= bit
-                even = not even
-            out[members] = (pos, members ^ pos)
-        return out
+    @cached_property
+    def pos(self) -> list[int]:
+        """Per rank r, bit j set when the r-th member s_r of (d+2)-subset j,
+        in combinations order, is on the pos side of its minimal Radon
+        partition: when chi(subset minus s_r) > 0 equals r being even, the
+        sign of the r-th cofactor of the unique affine dependence."""
+        faces, _ = _subset_layout(self.n, self.dim + 2)
+        full = (1 << comb(self.n, self.dim + 2)) - 1
+        return [
+            int("".join(face(self.signs)), 2) ^ (full if r & 1 else 0)
+            for r, face in enumerate(faces)
+        ]
 
     @classmethod
     def from_rows(cls, dim: int, rows: Iterable[Iterable]) -> "PointConfig":
-        return cls(dim, tuple(tuple(_as_fraction(v) for v in row) for row in rows))
+        return cls(dim, tuple(tuple(as_fraction(v) for v in row) for row in rows))
 
     def to_text(self) -> str:
         lines = [f"{self.n} {self.dim}"]
@@ -356,10 +394,22 @@ def _red_bits(coloring: Coloring) -> int:
     return _bits(i for i, c in enumerate(coloring.labels) if c == RED)
 
 
-def _induced(partitions: dict[int, tuple[int, int]], red: int) -> Iterator[bool]:
-    """Per (d+2)-subset, in combinations order: does the red mask induce its
-    minimal partition?"""
-    return ((red & members) in sides for members, sides in partitions.items())
+def _induced(config: PointConfig, red: int) -> int:
+    """Mask of the (d+2)-subsets, bit j for subset j in combinations order,
+    whose minimal partition the red mask induces: every member is red
+    exactly when it is on the pos side, or every member exactly when it is
+    on the other side."""
+    _, members = _subset_layout(config.n, config.dim + 2)
+    table = _digit_table(format(red, f"0{config.n}b")[::-1])
+    full = (1 << comb(config.n, config.dim + 2)) - 1
+    every, some = full, 0
+    for members_r, pos_r in zip(members, config.pos):
+        # bit j: the r-th member of subset j is red on the other side, or
+        # blue on the pos side
+        off = int(members_r.translate(table), 2) ^ pos_r
+        some |= off
+        every &= off
+    return every | (full ^ some)
 
 
 def is_radon_pair(config: PointConfig, subset: Iterable[int], coloring: Coloring) -> bool:
@@ -368,7 +418,7 @@ def is_radon_pair(config: PointConfig, subset: Iterable[int], coloring: Coloring
     True exactly when the two color classes restricted to the (d+2)-subset
     coincide with the sign classes of its unique affine dependence, up to
     swapping the colors; equivalently, the hulls of the restricted classes
-    intersect.
+    intersect.  Reads bit rank(subset) of the coloring's induced mask.
     """
     sub = tuple(sorted(subset))
     if len(sub) != config.dim + 2:
@@ -379,8 +429,10 @@ def is_radon_pair(config: PointConfig, subset: Iterable[int], coloring: Coloring
         raise ValueError(f"subset {sub} repeats a point")
     if coloring.n != config.n:
         raise ValueError("coloring length must match the configuration")
-    members = _bits(i - 1 for i in sub)
-    return (_red_bits(coloring) & members) in config._partitions[members]
+    # lex rank of sub among the (d+2)-subsets of 0..n-1
+    n, size = config.n, len(sub)
+    rank = comb(n, size) - 1 - sum(comb(n - i, size - k) for k, i in enumerate(sub))
+    return bool(_induced(config, _red_bits(coloring)) >> rank & 1)
 
 
 def _checked_red(config: PointConfig, coloring: Coloring) -> int:
@@ -392,13 +444,14 @@ def _checked_red(config: PointConfig, coloring: Coloring) -> int:
 
 def count_induced(config: PointConfig, coloring: Coloring) -> int:
     """Number of (d+2)-subsets whose minimal Radon partition the coloring induces."""
-    return sum(_induced(config._partitions, _checked_red(config, coloring)))
+    return _induced(config, _checked_red(config, coloring)).bit_count()
 
 
 def induced_flags(config: PointConfig, coloring: Coloring) -> list[bool]:
     """is_radon_pair for every (d+2)-subset, in combinations order, from one
-    pass over the partition table."""
-    return list(_induced(config._partitions, _checked_red(config, coloring)))
+    induced mask."""
+    mask = _induced(config, _checked_red(config, coloring))
+    return list(map("1".__eq__, reversed(format(mask, f"0{comb(config.n, config.dim + 2)}b"))))
 
 
 MAX_EXHAUSTIVE_POINTS = 22
@@ -411,28 +464,30 @@ def _flip_tables(config: PointConfig) -> list[list[tuple[int, int, list[int]]]]:
     """Per point p, lookup tables of the subsets through p that a flip of p
     leaves uninduced.
 
-    Number the subsets by j in combinations order.  One pass over them sets
-    bit j of member[q] when subset j contains q, and of side[q] when q is on
-    its pos side.  Then column same[q] (other[q]) of p, the subsets through
-    p and q with q on p's side (the other side), is member[p] & member[q]
-    without (with) the bits where side[p] and side[q] differ.  With p red,
-    subset j is missed when some other member q is red on the other side or
-    blue on p's side, so the missed set is an OR over q of other[q] or
-    same[q].  The points are cut into ceil(n / _CHUNK) chunks of
+    Number the subsets by j in combinations order.  Bit j of member[q] is
+    set when subset j contains q, and of side[q] when q is on its pos side:
+    over the ranks r, member[q] ORs the subsets whose r-th member is q,
+    read off the layout's members[r] with a table that marks q alone, and
+    side[q] ORs those masks AND pos[r].  Then column same[q] (other[q]) of
+    p, the subsets through p and q with q on p's side (the other side), is
+    member[p] & member[q] without (with) the bits where side[p] and side[q]
+    differ.  With p red, subset j is missed when some other member q is red
+    on the other side or blue on p's side, so the missed set is an OR over
+    q of other[q] or same[q].  The points are cut into ceil(n / _CHUNK) chunks of
     consecutive bits, of near-equal sizes, and each chunk (shift, full,
     table) tabulates that OR for every red pattern r of its points, with
     p's own column zero so p's bit is ignored.  With p blue the roles of
     same and other swap, which is the same table read at r ^ full.
     """
     n = config.n
+    _, members = _subset_layout(n, config.dim + 2)
     member, side = [0] * n, [0] * n
-    subsets = combinations(range(n), config.dim + 2)
-    for j, (subset, (pos, _neg)) in enumerate(zip(subsets, config._partitions.values())):
-        bit = 1 << j
-        for q in subset:
-            member[q] |= bit
-            if pos >> q & 1:
-                side[q] |= bit
+    for q in range(n):
+        table = _digit_table("0" * q + "1" + "0" * (n - 1 - q))
+        for members_r, pos_r in zip(members, config.pos):
+            at = int(members_r.translate(table), 2)
+            member[q] |= at
+            side[q] |= at & pos_r
     parts = -(-n // _CHUNK)  # ceil(n / _CHUNK)
     cuts = [n * k // parts for k in range(parts + 1)]
     tables = [[]]  # point 1 never flips
@@ -473,7 +528,7 @@ def max_r(config: PointConfig) -> tuple[int, Coloring]:
         )
     tables = _flip_tables(config)
     red = (1 << n) - 1
-    count = best = sum(_induced(config._partitions, red))
+    count = best = _induced(config, red).bit_count()
     best_mask = 0
     for i in range(1, 1 << (n - 1)):
         p = (i & -i).bit_length()  # mask bit p - 1 is point index p
@@ -502,13 +557,12 @@ def max_r_sampled(config: PointConfig, samples: int, seed: int) -> tuple[int, Co
     """
     _require_dependences(config, "to maximize induced partitions")
     rng = random.Random(seed)
-    partitions = config._partitions
     best = -1
     witness: Coloring | None = None
     for _ in range(samples):
         labels = (RED,) + tuple(rng.choice((RED, BLUE)) for _ in range(config.n - 1))
         coloring = Coloring(labels)
-        value = sum(_induced(partitions, _red_bits(coloring)))
+        value = _induced(config, _red_bits(coloring)).bit_count()
         if value > best:
             best = value
             witness = coloring
@@ -535,12 +589,10 @@ def lift_unbalanced(config: PointConfig, coloring: Coloring) -> tuple[PointConfi
     exactly when the dual configuration of the best representative stays
     convex.
     """
+    _require_dependences(config, "to lift a coloring")
     rays = affine_projection(config, coloring)
     red = _red_bits(coloring)
-    partitions = config._partitions
-    chosen = next(
-        (i for i in range(config.n) if not any(_induced(partitions, red ^ (1 << i)))), None
-    )
+    chosen = next((i for i in range(config.n) if not _induced(config, red ^ (1 << i))), None)
     if chosen is None:
         raise LiftSeparationError(
             "no point of the signed projection is strictly separable from the rest"

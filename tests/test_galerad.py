@@ -509,6 +509,63 @@ def test_radon_pair_and_count_match_reference(config, seed):
         assert count_induced(config, coloring) == count
 
 
+@given(configs(max_extra=7, max_dim=4, max_n=9))
+@settings(max_examples=60, deadline=None)
+def test_pos_masks_match_reference_partitions(config):
+    # bit j of pos[r]: the r-th member of subset j is on the pos side of
+    # the Fraction cofactor partition
+    subsets = list(combinations(range(1, config.n + 1), config.dim + 2))
+    assert len(config.pos) == config.dim + 2
+    for r, mask in enumerate(config.pos):
+        assert mask >> len(subsets) == 0
+        for j, subset in enumerate(subsets):
+            pos, _ = reference_minimal_partition(config, subset)
+            assert bool(mask >> j & 1) == (subset[r] in pos)
+
+
+@given(configs(max_extra=3, max_dim=4), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_is_radon_pair_on_every_subset_matches_induced_flags(config, seed):
+    # is_radon_pair reads one bit of the induced mask at its subset's lex
+    # rank; the order of the subset's labels does not matter
+    subsets = list(combinations(range(1, config.n + 1), config.dim + 2))
+    for coloring in _colorings(config, seed, 3):
+        flags = galerad.induced_flags(config, coloring)
+        assert len(flags) == len(subsets)
+        assert [is_radon_pair(config, sub, coloring) for sub in subsets] == flags
+        assert [is_radon_pair(config, sub[::-1], coloring) for sub in subsets] == flags
+        assert sum(flags) == count_induced(config, coloring)
+
+
+def test_edge_shapes_of_the_subset_layout():
+    # n = d + 2 has one subset, read at bit 0 of every mask; n < d + 2 has
+    # none, so the layout and the pos masks are empty
+    for d in (1, 2, 3, 4):
+        config = random_point_config(d + 2, d, seed=d)
+        (subset,) = combinations(range(1, d + 3), d + 2)
+        pos, neg = reference_minimal_partition(config, subset)
+        assert config.pos == [int(i in pos) for i in subset]
+        faces, members = galerad._subset_layout(d + 2, d + 2)
+        assert members == [bytes([i]) for i in subset]
+        assert len(faces) == d + 2
+        for coloring in reference_colorings(d + 2):
+            induced = (coloring.red, coloring.blue) in ((pos, neg), (neg, pos))
+            assert galerad.induced_flags(config, coloring) == [induced]
+            assert is_radon_pair(config, subset, coloring) == induced
+        small = random_point_config(d + 1, d, seed=d)
+        assert galerad._subset_layout(d + 1, d + 2) == ([], [])
+        assert small.pos == []
+        assert len(small.signs) == 1
+
+
+def test_more_than_255_points_are_refused_for_radon_counts():
+    # the layout stores each point as one byte; building the points is
+    # still fine
+    config = PointConfig.from_rows(1, [(i,) for i in range(256)])
+    with pytest.raises(ValueError, match="exceeds 255"):
+        count_induced(config, Coloring(("R",) * 256))
+
+
 @given(configs())
 @settings(max_examples=60, deadline=None)
 def test_max_r_matches_reference_loop(config):
@@ -658,6 +715,7 @@ def test_fewer_than_d_plus_2_points_raise_one_error():
         lambda: galerad.induced_flags(triangle, coloring),
         lambda: max_r(triangle),
         lambda: max_r_sampled(triangle, 5, 0),
+        lambda: lift_unbalanced(triangle, coloring),
     )
     for call in calls:
         with pytest.raises(DegenerateSpanError, match=r"need n >= d \+ 2 .*, got n=3 d=2"):
@@ -717,6 +775,13 @@ def test_separating_functional_rejects_an_index_outside_the_vectors():
     for index in (3, -1):
         with pytest.raises(ValueError, match="index"):
             separating_functional(vectors, index)
+
+
+def test_separating_functional_rejects_float_coordinates():
+    # 0.5 would otherwise become Fraction(1, 2) and decide the program
+    with pytest.raises(TypeError, match="coordinates must be exact"):
+        separating_functional([(0.5,), (-1.0,)], 0)
+    assert separating_functional([("1/2",), (-1,)], 0) == [Fraction(2)]
 
 
 def test_separating_functional_rejects_no_vectors():

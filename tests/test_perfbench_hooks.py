@@ -2,7 +2,8 @@
 wraps that disappears from the program would only crash the benchmark.
 The first test installs it on the program as it is and removes it again.
 The second runs the benchmark's radon jobs on every pool entry, where a
-benchmark run checks only the entry its seed picks."""
+benchmark run checks only the entry its seed picks.  The third solves the
+pool's separator programs against the Fraction simplex."""
 
 import contextlib
 import importlib.util
@@ -10,8 +11,10 @@ import io
 from pathlib import Path
 from types import SimpleNamespace
 
-from lomlab import cli, galerad, travels, verifier
+from lomlab import cli, exactlp, galerad, travels, verifier
 from lomlab.chessboard import canonical_matrix, corners_for
+
+from oracles import reference_separating_functional
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -64,3 +67,46 @@ def test_radon_pool_matches_golden(tmp_path, monkeypatch):
                 failed.append(" ".join(job["argv"]))
     assert not failed, failed
     assert ran == 8 * inputs.RADON_POOL
+
+
+def test_separating_functional_matches_reference_on_pool_programs(tmp_path, monkeypatch):
+    # the point that lift picks for every entry's lifting coloring, and
+    # every point of both colorings of the first 4 entries; the simplex
+    # stores only the x+ and artificial columns, and all four kinds of
+    # variable (x+, x-, slack, artificial) must enter somewhere
+    inputs = _load("inputs")
+    golden = inputs.load_golden()
+    kinds = set()
+    entering = exactlp._entering
+
+    def recording(cost, den, dim, count):
+        enter = entering(cost, den, dim, count)
+        if enter is not None:
+            var = enter[0]
+            kinds.add((var >= dim) + (var >= 2 * dim) + (var >= 2 * dim + count))
+        return enter
+
+    monkeypatch.setattr(exactlp, "_entering", recording)
+    programs = feasible = 0
+    for seed in range(inputs.RADON_POOL):
+        inputs.write_inputs("radon", seed, tmp_path)
+        for d, n in inputs.RADON_SHAPES:
+            text = (tmp_path / inputs.points_name(d, n)).read_text()
+            config = galerad.PointConfig.from_text(text)
+            entry = golden["radon"][f"d{d}-n{n}"][seed]
+            for name in ("lifting", "witness") if seed < 4 else ("lifting",):
+                coloring = galerad.Coloring.from_string(entry[name])
+                rays = galerad.affine_projection(config, coloring)
+                if seed < 4:
+                    indices = range(n)
+                else:
+                    _, lifted_coloring = galerad.lift_unbalanced(config, coloring)
+                    indices = [min(lifted_coloring.red) - 1]
+                for index in indices:
+                    w = exactlp.separating_functional(rays, index)
+                    assert w == reference_separating_functional(rays, index), (seed, d, name, index)
+                    programs += 1
+                    feasible += w is not None
+    assert programs == 4 * 2 * (13 + 11) + 28 * 2
+    assert 28 * 2 <= feasible < programs
+    assert kinds == {0, 1, 2, 3}
