@@ -52,7 +52,6 @@ _EXPORTS = {
         "min_interior",
         "plain_travel",
         "reorientation_for_pt",
-        "scan_classes",
         "top_travel",
         "trivial_travel",
     ),

@@ -45,29 +45,31 @@ the drop columns of up to CLASS_LANES consecutive classes as planes, one
 lane per class, built from blocks of the class tree (``_class_sizes``,
 ``_block_drops``) with no loop over its classes.  ``_class_order`` reads
 the batches lane by lane for the callers that want one class at a time:
-``enumerate_plain_travels`` (the classes of the all-plus matrix),
-``scan_classes`` and the shapes of the rank-3 scan.
+``enumerate_plain_travels`` (the classes of the all-plus matrix) and the
+shapes of the rank-3 scan.
 
-``_class_of`` evaluates a single class over int-bitmask rows: the witness
-replay (``reorientation_for_pt``, ``interior_elements``) and
-``scan_classes``, which yields each class's flips and interior set.  Each
+``_class_of`` evaluates a single class over int-bitmask rows, for the
+witness replay (``reorientation_for_pt``, ``interior_elements``).  Each
 class's top travel is its prescribed plain travel, so only the bottom
 travel is walked, one ``int.bit_length`` step per segment on the rows'
 turn masks, and criterion (c) becomes one AND per row of the two travels'
 masks of columns strictly inside a segment.
 
-Minima run on two lane kernels.  A plane is an int whose bit l stands for
-lane l, and both kernels hand the bottom travels to one sweep,
-``_sweep``, which walks them row by row over lane masks.
+Minima run on two lane kernels, and no other module reads their planes.
+A plane is an int whose bit l stands for lane l, and a per-lane number is
+a list of planes, compared by ``compare_lanes``.  Both kernels hand the
+bottom travels to one sweep, ``_sweep``, which walks them row by row over
+lane masks.
 
-* ``_min_lanes`` (the rank-3 board scan) runs a batch of matrices, one per
-  lane, through the classes in class order.  A class's top travel is
+* ``board_minima`` (the rank-3 board scan) runs a batch of matrices, one
+  per lane, through the classes in class order.  A class's top travel is
   the same on every lane: the flips and the rows' turns are per-lane
   planes, criterion (c) is one column mask per row, and each class's
-  interior count goes into bit-sliced per-lane minima.
-* ``_class_lanes`` (``min_interior`` and the counterexample hunts) runs
-  one matrix with a class per lane.  The entries and turns are the same
-  on every lane; the drop columns, the flips and the segments are per-lane
+  interior count goes into bit-sliced per-lane minima, which it returns
+  as one lane mask per value.
+* ``_class_lanes`` (``min_interior`` and ``find_interior_set``) runs one
+  matrix with a class per lane.  The entries and turns are the same on
+  every lane; the drop columns, the flips and the segments are per-lane
   planes, and the kernel returns one plane per column of the lanes on
   which that column is interior.  It takes the batches' drop planes as
   they come, in class order, so ``min_interior`` can stop after the first
@@ -80,7 +82,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .sign_matrix import SignMatrix
 
@@ -298,13 +300,13 @@ def _class_of(
 
 # ---------------------------------------------------------------------------
 # The lane kernels.  A plane is an int with bit l for lane l, and a per-lane
-# number is a list of planes, least significant bit first.  ``_min_lanes``
+# number is a list of planes, least significant bit first.  ``board_minima``
 # runs one class at a time on a batch of matrices, lane l the l-th matrix;
 # ``_class_lanes`` runs one matrix on a batch of classes, lane l a class.
 # Both hand the bottom travels to one sweep, ``_sweep``.
 
 
-def _compare_lanes(x: Sequence[int], y: Sequence[int], full: int) -> tuple[int, int]:
+def compare_lanes(x: Sequence[int], y: Sequence[int], full: int) -> tuple[int, int]:
     """(less, same): the lanes where the number x is below y, and where they
     are equal.  x and y have the same plane count; `full` has a bit per lane."""
     less, same = 0, full
@@ -396,14 +398,14 @@ def _class_shapes(r: int, n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...
     return tuple(shapes)
 
 
-def _min_lanes(planes: Sequence[Sequence[int]], n: int, full: int) -> list[int]:
-    """Per lane, the least interior count over the acyclic classes.
+def board_minima(planes: Sequence[Sequence[int]], n: int, full: int) -> list[int]:
+    """Per value v = 0 .. n, the lanes whose least interior count over the
+    acyclic classes is v.
 
     `planes` are the r x n entry planes of a batch of matrices, bit l of
     planes[i][j] set when entry (i + 1, j + 1) of lane l's matrix is -1,
-    and `full` has a bit per lane.  Returns the minima as
-    (n + 1).bit_length() planes; each equals ``min_interior``'s count of
-    its lane.
+    and `full` has a bit per lane.  Every lane is in exactly one entry, at
+    ``min_interior``'s count of its matrix.
 
     A class's top travel is its plain travel on every lane, so the classes
     run in class order (``_class_shapes``), and each drop step of
@@ -411,8 +413,8 @@ def _min_lanes(planes: Sequence[Sequence[int]], n: int, full: int) -> list[int]:
     in the segment's row xor the pivot plane.  The rows' turns are per-lane
     planes, and criterion (c) is a column mask per row, the same on every
     lane.  Each class's interior columns go into a bit-sliced count, and
-    the count into the running minima.  The scan stops once every lane has
-    a class with no interior element.
+    the count into bit-sliced running minima.  The scan stops once every
+    lane has a class with no interior element.
     """
     r = len(planes)
     width = (n + 1).bit_length()
@@ -437,13 +439,19 @@ def _min_lanes(planes: Sequence[Sequence[int]], n: int, full: int) -> list[int]:
         if last:
             interior.append(full)
         count = _lane_counts(interior, width)
-        less, _ = _compare_lanes(count, least, full)
+        less, _ = compare_lanes(count, least, full)
         if less:
             for bit in range(width):
                 least[bit] ^= (least[bit] ^ count[bit]) & less
             if not any(least):
                 break
-    return least
+    minima = []
+    for value in range(n + 1):
+        lanes = full
+        for bit, plane in enumerate(least):
+            lanes &= plane if value >> bit & 1 else full ^ plane
+        minima.append(lanes)
+    return minima
 
 
 # Classes per batch of the class-lane kernel.  The batches bound its memory:
@@ -702,22 +710,6 @@ def enumerate_plain_travels(r: int, n: int, include_trivial: bool = False) -> It
             yield plain_travel(r, n, drops)
 
 
-def scan_classes(matrix: SignMatrix) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """Stream (drops, flips, interior) over the acyclic reorientation classes.
-
-    Classes come in class order, the lexicographic order of breakpoints, so
-    the first class with a given interior count is the lexicographically
-    least witness.  `drops` are the 1-indexed drop columns of the class's
-    plain travel; `flips` and `interior` are column bitmasks (bit j for
-    column j + 1), the canonical reorientation and the interior set of the
-    reoriented matrix.  Each class is one ``_class_of`` call.
-    """
-    masks = _row_masks(matrix.rows)
-    turns = _turn_masks(masks)
-    for drops in _class_order(matrix.r, matrix.n):
-        yield (drops, *_class_of(masks, turns, matrix.n, drops))
-
-
 def count_plain_travels(r: int, n: int) -> int:
     """Number of plain travels, sum of C(n-1, k) for k = 1 .. r-1."""
     return sum(comb(n - 1, k) for k in range(1, min(r - 1, n - 1) + 1))
@@ -770,3 +762,28 @@ def min_interior(matrix: SignMatrix) -> tuple[int, Travel]:
             if not best:
                 break
     return best, plain_travel(matrix.r, matrix.n, witness)
+
+
+def find_interior_set(matrix: SignMatrix, target: Iterable[int]) -> tuple[int, Travel | None]:
+    """(least, travel): the minimum interior count over the acyclic
+    classes, and the plain travel of the first class in class order whose
+    interior set is exactly `target` (1-indexed columns in [1, n]), or None.
+
+    One pass of the class-lane kernel scans every class: a class matches
+    when its interior planes agree with the target on every column.
+    """
+    n = matrix.n
+    target = set(target)
+    if not target <= set(range(1, n + 1)):
+        raise ValueError(f"target columns {sorted(target)} outside [1, {n}]")
+    target_mask = sum(1 << (c - 1) for c in target)
+    best, found = n + 1, None
+    for full, drops, cols in _class_lanes(matrix):
+        best = min(best, _least_lanes(cols, full)[0])
+        if found is None:
+            match = full
+            for c, lanes in enumerate(cols):
+                match &= lanes if target_mask >> c & 1 else full ^ lanes
+            if match:
+                found = _decode_lane(drops, (match & -match).bit_length() - 1)
+    return best, None if found is None else plain_travel(matrix.r, n, found)

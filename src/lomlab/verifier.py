@@ -28,15 +28,13 @@ from .chessboard import (
 from .sign_matrix import SignMatrix, reorient
 from .travels import (
     Travel,
-    _class_lanes,
-    _compare_lanes,
-    _decode_lane,
-    _least_lanes,
-    _min_lanes,
+    board_minima,
+    compare_lanes,
+    count_plain_travels,
     enumerate_plain_travels,  # noqa: F401  (perfbench/spans.py wraps it here)
+    find_interior_set,
     interior_elements,
     min_interior,
-    plain_travel,
     reorientation_for_pt,
 )
 
@@ -238,32 +236,19 @@ def reproduce_counterexample(which: str) -> VerificationReport:
 
     The three boards demonstrate that some constructions cannot give more:
     each admits an acyclic reorientation class whose interior set is exactly
-    the recorded target.  Every class is scanned, in batches of the
-    class-lane kernel: a class matches when its interior planes agree with
-    the target on every column, and the witness is the first match in
-    lexicographic order.
+    the recorded target.  ``travels.find_interior_set`` scans every class
+    in one pass, for the least interior count and the first class in
+    lexicographic order whose interior set is the target; that class is
+    the witness.
     """
     if which not in COUNTEREXAMPLES:
         raise ValueError(f"unknown counterexample {which!r}, want one of a, b, c")
     start = time.perf_counter()
     r, n, sequence, target = COUNTEREXAMPLES[which]
     matrix = canonical_matrix(board_from_sequence(r, n, sequence))
-    target_mask = sum(1 << (c - 1) for c in target)
-    found: tuple[int, ...] | None = None
-    best = n + 1
-    scanned = 0
-    for full, drops, cols in _class_lanes(matrix):
-        scanned += full.bit_length()
-        best = min(best, _least_lanes(cols, full)[0])
-        if found is None:
-            match = full
-            for c, lanes in enumerate(cols):
-                match &= lanes if target_mask >> c & 1 else full ^ lanes
-            if match:
-                found = _decode_lane(drops, (match & -match).bit_length() - 1)
+    best, travel = find_interior_set(matrix, target)
     witnesses = ()
-    if found is not None:
-        travel = plain_travel(r, n, found)
+    if travel is not None:
         params = (("r", r), ("n", n))
         witnesses = (_witness(params, matrix, travel, len(target), len(target), True),)
     return VerificationReport(
@@ -272,7 +257,7 @@ def reproduce_counterexample(which: str) -> VerificationReport:
             "sequence": ",".join(str(x) for x in sequence),
             "target": ",".join(str(c) for c in target),
         },
-        instances_checked=scanned,
+        instances_checked=count_plain_travels(r, n) + 1,
         min_interior_observed=best,
         required_bound=len(target),
         witnesses=witnesses,
@@ -298,12 +283,15 @@ def check_rank3_n(n: int) -> None:
         raise ValueError(f"rank-3 scan supports 5 <= n <= {RANK3_MAX_N}, got {n}")
 
 
+def _board_rows(bits: Sequence, width: int) -> tuple[Sequence, Sequence]:
+    """The two rows of the 2 x width board of a code, from the code's
+    per-bit sequence: bit i * width + j of a code is row i, column j."""
+    return bits[:width], bits[width:]
+
+
 def _board_from_code(n: int, code: int) -> Chessboard:
-    width = n - 1
-    rows = []
-    for i in range(2):
-        rows.append(tuple(bool((code >> (i * width + j)) & 1) for j in range(width)))
-    return Chessboard(tuple(rows))
+    bits = tuple(bool(code >> b & 1) for b in range(2 * (n - 1)))
+    return Chessboard(_board_rows(bits, n - 1))
 
 
 def _code_planes(start: int, stop: int, bits: int) -> list[int]:
@@ -338,10 +326,10 @@ def _orbit_lanes(code: Sequence[int], width: int, full: int) -> tuple[int, int, 
     `fixed_by_one` those equal to at least one.  The orbit has 4 boards
     when no image equals the code, 1 when all do and 2 otherwise.
     """
-    top, bottom = code[:width], code[width:]
+    top, bottom = _board_rows(code, width)
     least, fixed_by_all, fixed_by_one = full, full, 0
     for image in (top[::-1] + bottom[::-1], bottom + top, bottom[::-1] + top[::-1]):
-        less, same = _compare_lanes(code, image, full)
+        less, same = compare_lanes(code, image, full)
         least &= less | same
         fixed_by_all &= same
         fixed_by_one |= same
@@ -364,24 +352,19 @@ def _scan_chunk(args: tuple[int, int, int, int, bool]) -> tuple:
     weight of the boards whose minimum equals the bound and the first 8 of
     them, the first 8 boards above it, and the number of boards scanned.
 
-    Every board of the range is a lane of ``travels._min_lanes``, which
-    gives each its exact minimum; the tuple is read off the minima with
-    lane masks.  With `prune` only the least code of each orbit counts,
-    weighted by the orbit's size, but every lane is still computed.
+    Every board of the range is a lane of ``travels.board_minima``, which
+    gives the lanes at each minimum; the tuple is read off those masks, cut
+    to the evaluated lanes.  With `prune` only the least code of each orbit
+    counts, weighted by the orbit's size, but every lane is still computed.
     """
     n, start, stop, bound, prune = args
     width, full = n - 1, (1 << (stop - start)) - 1
     code = _code_planes(start, stop, 2 * width)
-    least = _min_lanes(canonical_planes([code[:width], code[width:]]), n, full)
+    minima = board_minima(canonical_planes(_board_rows(code, width)), n, full)
     evaluated, fixed_by_all, fixed_by_one = (
         _orbit_lanes(code, width, full) if prune else (full, full, full)
     )
-    at = []  # at[v]: the evaluated lanes whose minimum is v
-    for value in range(n + 1):
-        lanes = evaluated
-        for bit, plane in enumerate(least):
-            lanes &= plane if value >> bit & 1 else full ^ plane
-        at.append(lanes)
+    at = [lanes & evaluated for lanes in minima]  # at[v]: evaluated lanes at minimum v
     worst = max((v for v in range(n + 1) if at[v]), default=-1)
     worst_code = next(_codes(at[worst], start)) if worst >= 0 else -1
     attained = at[bound] if 0 <= bound <= n else 0

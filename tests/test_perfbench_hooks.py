@@ -1,9 +1,11 @@
 """The benchmark's tracer patches lomlab names by getattr, so a name it
 wraps that disappears from the program would only crash the benchmark.
 The first test installs it on the program as it is and removes it again.
-The second runs the benchmark's radon jobs on every pool entry, where a
-benchmark run checks only the entry its seed picks.  The third solves the
-pool's separator programs against the Fraction simplex."""
+The next two run the benchmark's jobs and check their report blocks
+against golden.json: the radon jobs on every pool entry, where a benchmark
+run checks only the entry its seed picks, and the verify jobs of the
+rank3-scan and families workloads.  The last solves the pool's separator
+programs against the Fraction simplex."""
 
 import contextlib
 import importlib.util
@@ -43,30 +45,56 @@ def test_tracer_installs_counts_and_removes():
     assert verifier.min_interior is travels.min_interior
 
 
+def _run_job(argv, reports, pattern):
+    """(exit code, bytes the job appended to the report files matching
+    `pattern`), as perfbench/run.py reads them."""
+    before = {p.name: p.stat().st_size for p in reports.glob(pattern)}
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(list(argv))
+    block = b""
+    for path in sorted(reports.glob(pattern)):
+        with open(path, "rb") as fh:
+            fh.seek(before.get(path.name, 0))
+            block += fh.read()
+    return rc, block
+
+
 def test_radon_pool_matches_golden(tmp_path, monkeypatch):
     # each job's exit code and appended report block, as perfbench/run.py
     # reads them, against golden.json; the seed picks the pool entry
     inputs, checks = _load("inputs"), _load("checks")
     golden = inputs.load_golden()
     monkeypatch.chdir(tmp_path)
-    reports = tmp_path / "reports"
     failed, ran = [], 0
     for seed in range(inputs.RADON_POOL):
         inputs.write_inputs("radon", seed, tmp_path)
         for job in inputs.jobs_for("radon", seed, golden):
             ran += 1
-            before = {p.name: p.stat().st_size for p in reports.glob("*")}
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                rc = cli.main(list(job["argv"]))
-            block = b""
-            for path in sorted(reports.glob("*")):
-                with open(path, "rb") as fh:
-                    fh.seek(before.get(path.name, 0))
-                    block += fh.read()
+            rc, block = _run_job(job["argv"], tmp_path / "reports", "*")
             if not checks.matches_golden(rc, block, seed, golden["jobs"][job["key"]]):
                 failed.append(" ".join(job["argv"]))
     assert not failed, failed
     assert ran == 8 * inputs.RADON_POOL
+
+
+def test_verify_jobs_match_golden(tmp_path, monkeypatch):
+    # the rank3-scan and families jobs, one seed: only the verify-* report
+    # files hold report blocks (the failing even-d instance also writes
+    # fixture files), as in perfbench/run.py's REPORT_PREFIXES
+    inputs, checks = _load("inputs"), _load("checks")
+    golden = inputs.load_golden()
+    monkeypatch.chdir(tmp_path)
+    seed = 5
+    failed, ran = [], 0
+    for workload in ("rank3-scan", "families"):
+        inputs.write_inputs(workload, seed, tmp_path)
+        for job in inputs.jobs_for(workload, seed, golden):
+            ran += 1
+            rc, block = _run_job(job["argv"], tmp_path / "reports", "verify-*")
+            if not checks.matches_golden(rc, block, seed, golden["jobs"][job["key"]]):
+                failed.append(" ".join(job["argv"]))
+    assert not failed, failed
+    assert ran == 9
 
 
 def test_separating_functional_matches_reference_on_pool_programs(tmp_path, monkeypatch):

@@ -48,3 +48,23 @@ def test_every_private_helper_has_a_caller_in_src():
         and not any(stmt.name in names for _, other, names in statements if other is not stmt)
     ]
     assert not dead, dead
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # a module reads another's private names only through its public ones,
+    # as `from .x import _y` or `from lomlab.x import _y` would bypass
+    import ast
+    from pathlib import Path
+
+    private = []
+    for path in sorted(Path(lomlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "lomlab"
+            ):
+                private += [
+                    f"{path.name}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.startswith("__")
+                ]
+    assert not private, private

@@ -14,12 +14,12 @@ from lomlab.travels import (
     bottom_travel,
     count_plain_travels,
     enumerate_plain_travels,
+    find_interior_set,
     interior_elements,
     is_acyclic,
     min_interior,
     plain_travel,
     reorientation_for_pt,
-    scan_classes,
     top_travel,
     trivial_travel,
 )
@@ -325,10 +325,20 @@ def _columns(mask):
     return frozenset(j + 1 for j in range(mask.bit_length()) if (mask >> j) & 1)
 
 
+def _scan_classes(matrix):
+    # (drops, flips, interior) per class in class order, flips and interior
+    # as column bitmasks: one _class_of call per class of _class_order
+    from lomlab.travels import _class_of, _class_order, _row_masks, _turn_masks
+
+    masks = _row_masks(matrix.rows)
+    for drops in _class_order(matrix.r, matrix.n):
+        yield (drops, *_class_of(masks, _turn_masks(masks), matrix.n, drops))
+
+
 def _kernel_scan(matrix):
     return [
         (drops, _columns(flips), _columns(interior))
-        for drops, flips, interior in scan_classes(matrix)
+        for drops, flips, interior in _scan_classes(matrix)
     ]
 
 
@@ -373,11 +383,11 @@ def test_interleaved_scans_keep_their_own_state():
 
     a = realize_sequence(4, 9, (2, 4, 2))
     b = realize_sequence(5, 11, (2, 4, 2, 2))
-    expect_a, expect_b = list(scan_classes(a)), list(scan_classes(b))
-    abandoned = scan_classes(b)
-    scan_b = scan_classes(b)
+    expect_a, expect_b = list(_scan_classes(a)), list(_scan_classes(b))
+    abandoned = _scan_classes(b)
+    scan_b = _scan_classes(b)
     got_a, got_b, partial = [], [], []
-    for item in scan_classes(a):
+    for item in _scan_classes(a):
         got_a.append(item)
         step = next(scan_b, None)
         if step is not None:
@@ -433,8 +443,13 @@ def test_breakpoints_end_at_n(r, pick):
 
 
 def _classes_match_single_class_evaluator(matrix):
-    # scan_classes evaluates each class on its own, one _class_of call
-    assert _kernel_scan(matrix) == list(reference_scan(matrix, True)), matrix
+    # the public single-class path, class by class: the canonical
+    # reorientation of the class's plain travel, then the interior set of
+    # the reoriented matrix
+    for drops, flips, interior in reference_scan(matrix, True):
+        got = reorientation_for_pt(matrix, plain_travel(matrix.r, matrix.n, drops))
+        assert got == flips, (matrix, drops)
+        assert interior_elements(reorient(matrix, got)) == interior, (matrix, drops)
 
 
 def test_single_class_evaluator_matches_scan_on_every_rank3_n6_board():
@@ -455,7 +470,7 @@ def test_single_class_evaluator_matches_scan(matrix):
 def test_lane_kernel_matches_reference_on_random_lanes(r):
     # seeded random r x n matrices, not canonical boards: row 1 and column 1
     # vary too, and the lanes of a batch are unrelated
-    from lomlab.travels import _min_lanes
+    from lomlab.travels import board_minima
 
     rng = random.Random(1100 + r)
     seen = set()
@@ -466,12 +481,50 @@ def test_lane_kernel_matches_reference_on_random_lanes(r):
                 [sum((m.rows[i][j] < 0) << lane for lane, m in enumerate(matrices)) for j in range(n)]
                 for i in range(r)
             ]
-            least = _min_lanes(planes, n, (1 << lanes) - 1)
+            full = (1 << lanes) - 1
+            minima = board_minima(planes, n, full)
+            assert len(minima) == n + 1
+            union = 0
+            for at in minima:
+                assert not union & at  # each lane has one minimum
+                union |= at
+            assert union == full
             for lane, m in enumerate(matrices):
-                value = sum((plane >> lane & 1) << bit for bit, plane in enumerate(least))
+                value = next(v for v, at in enumerate(minima) if at >> lane & 1)
                 assert value == reference_min_interior(m)[0], (n, m.rows)
                 seen.add(value)
     assert len(seen) >= 3  # the batches reach past the all-zero early stop
+
+
+@pytest.mark.parametrize("lanes", [3, 4096])
+def test_find_interior_set_matches_reference_scan(monkeypatch, lanes):
+    # seeded matrices of every rank 1..7: the first class in class order
+    # with a given interior set, the least count, a set no class has, and
+    # columns outside 1..n; batches of 3 put the first match past a batch
+    from lomlab import travels
+
+    monkeypatch.setattr(travels, "CLASS_LANES", lanes)
+    rng = random.Random(1901)
+    for r in range(1, 8):
+        for n in range(r, 11):
+            matrix = random_sign_matrix(rng, r, n)
+            classes = list(reference_scan(matrix, True))
+            least = min(len(interior) for _, _, interior in classes)
+            interiors = {interior for _, _, interior in classes}
+            target = rng.choice(sorted(interiors, key=sorted))
+            first = next(drops for drops, _, interior in classes if interior == target)
+            count, travel = find_interior_set(matrix, target)
+            assert (count, travel.drop_columns) == (least, first), (matrix, target)
+            assert travel.segments == plain_travel(r, n, first).segments
+            absent = next(
+                cols
+                for mask in range(1 << n)
+                if (cols := frozenset(c + 1 for c in range(n) if mask >> c & 1)) not in interiors
+            )
+            assert find_interior_set(matrix, absent) == (least, None), (matrix, absent)
+            for bad in ({0}, {n + 1}, {1, n + 1}):
+                with pytest.raises(ValueError):
+                    find_interior_set(matrix, bad)
 
 
 def test_lane_counts_match_per_lane_sums():
@@ -519,13 +572,16 @@ def test_batch_drop_planes_match_the_reference_drop_sets(monkeypatch, lanes):
     for r in range(1, 7):
         for n in range(1, 11):
             expect = reference_drop_sets(r, n, True)
-            got = []
+            got, widths = [], 0
             for full, drops in travels._drop_batches(r, n):
                 assert 0 < full.bit_length() <= lanes and not full & (full + 1)
                 assert len(drops) == n and not drops[0]  # column 1 never drops
+                widths += full.bit_length()
                 for lane in range(full.bit_length()):
                     got.append(tuple(c + 1 for c, plane in enumerate(drops) if plane >> lane & 1))
             assert got == expect, (r, n)
+            # the classes a hunt scans, which its report counts
+            assert widths == count_plain_travels(r, n) + 1, (r, n)
 
 
 def test_min_interior_stops_after_the_first_batch_with_a_zero(monkeypatch):
