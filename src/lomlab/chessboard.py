@@ -218,17 +218,6 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-# Column count n(r, t) of each named construction: corners_for builds its
-# boards from it, and the exploratory search inverts it.
-CONSTRUCTION_N = {
-    "dim2": lambda r, t: t + 6,
-    "dim3": lambda r, t: t + 8,
-    "general": lambda r, t: (t + 1) * (r - 3) + 7,
-    "t1": lambda r, t: 2 * (r - 1) + _ceil_div(r, 2) + 1,
-    "even-d": lambda r, t: (r - 1) + (t + 1) * (r - 1) // 2 + 3,
-}
-
-
 def corners_for(theorem_id: str, r: int, t: int) -> Chessboard:
     """Sequence board and corner function of a named construction.
 
@@ -243,9 +232,9 @@ def corners_for(theorem_id: str, r: int, t: int) -> Chessboard:
                n = (r-1) + (t+1)(r-1)/2 + 3,
                sequence (2, t+3, 2, t+1, 2, t+1, ..., 2, t+1)
 
-    Every column of these boards carries exactly one black square.  The
-    returned board stores the sequence and the corner map h(1..r), with
-    h(r) = n.
+    Every column of these boards carries exactly one black square, so n
+    is sum(sequence) + 1.  The returned board stores the sequence and the
+    corner map h(1..r), with h(r) = n.
     """
     if theorem_id == "dim2":
         if r != 3:
@@ -284,7 +273,6 @@ def corners_for(theorem_id: str, r: int, t: int) -> Chessboard:
         )
     else:
         raise ValueError(f"unknown construction {theorem_id!r}, want one of {THEOREM_IDS}")
-    n = CONSTRUCTION_N[theorem_id](r, t)
-    assert sum(seq) == n - 1, "constructions are one-black-per-column boards"
+    n = sum(seq) + 1
     return Chessboard(_sequence_black(r, n, seq), sequence=seq, corners=h + (n,))
 

@@ -4,10 +4,14 @@ A travel is a monotone staircase walk over matrix positions.  The top travel
 starts at a[1][1] and moves right while consecutive entries in the row agree;
 at the first disagreement it takes the flipped entry and drops one row in
 that column.  In the bottom row there is nowhere left to drop, so the walk
-stops just before a flip.  The bottom travel is the mirror image, the top
-travel of the matrix turned by 180 degrees, and is computed that way: it
+stops just before a flip.  The bottom travel is the mirror image: it
 starts at a[r][n], moves left and rises at flips, stopping before a flip
 once it reaches row 1.  Both walks are unique for a given matrix.
+
+There is one walk, ``_top_walk``, on the rows' turn masks (bit j set where
+the entries in columns j + 1 and j + 2 differ), one lowest-set-bit step
+per row.  The bottom travel is that walk on the rows turned by 180
+degrees, mapped back, and ``_class_of`` reads the same turn masks.
 
 The matroid encoded by the matrix is cyclic exactly when the top travel ends
 in row r strictly before column n (equivalently, when the bottom travel ends
@@ -85,8 +89,6 @@ from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .sign_matrix import SignMatrix
-
-Rows = tuple[tuple[int, ...], ...]
 
 TOP = "top"
 BOTTOM = "bottom"
@@ -177,50 +179,6 @@ class Travel:
 
 
 # ---------------------------------------------------------------------------
-# Walk construction on raw rows, for the single travels a caller asks for.
-
-
-def _top_segments(rows: Rows) -> tuple[tuple[int, int, int], ...]:
-    r = len(rows)
-    n = len(rows[0])
-    i, j = 0, 0
-    segments = []
-    while True:
-        row = rows[i]
-        pivot = row[j]
-        start = j
-        while j + 1 < n and row[j + 1] == pivot:
-            j += 1
-        if j == n - 1:
-            segments.append((i + 1, start + 1, n))
-            return tuple(segments)
-        if i == r - 1:
-            segments.append((i + 1, start + 1, j + 1))
-            return tuple(segments)
-        segments.append((i + 1, start + 1, j + 2))
-        i += 1
-        j += 1
-
-
-def _bottom_segments(rows: Rows) -> tuple[tuple[int, int, int], ...]:
-    """The bottom walk is the top walk of the matrix turned by 180 degrees,
-    mapped back: row i to r + 1 - i and column c to n + 1 - c."""
-    r, n = len(rows), len(rows[0])
-    turned = tuple(row[::-1] for row in rows[::-1])
-    return tuple((r + 1 - i, n + 1 - a, n + 1 - b) for i, a, b in _top_segments(turned))
-
-
-def _top_drops(rows: Rows) -> tuple[int, ...] | None:
-    """The 1-indexed drop columns of the top travel, or None when the
-    matrix is cyclic: its top travel ends in row r before column n."""
-    segments = _top_segments(rows)
-    end_row, _, end_col = segments[-1]
-    if end_row == len(rows) and end_col < len(rows[0]):
-        return None
-    return tuple(seg[2] for seg in segments[:-1])
-
-
-# ---------------------------------------------------------------------------
 # The class-scan kernel.  Rows are int bitmasks, bit j set when the entry in
 # column j + 1 is -1, so reorienting a column set is one xor per row.  A
 # travel segment running from 0-based column a to column b is summarized by
@@ -228,7 +186,7 @@ def _top_drops(rows: Rows) -> tuple[int, ...] | None:
 # the columns k whose neighbours k - 1 and k + 1 the segment covers too.
 
 
-def _row_masks(rows: Rows) -> list[int]:
+def _row_masks(rows: Iterable[Sequence[int]]) -> list[int]:
     return [sum(1 << j for j, v in enumerate(row) if v < 0) for row in rows]
 
 
@@ -241,9 +199,43 @@ def _turn_masks(masks: Sequence[int]) -> list[int]:
     """Per row, bit j set when the entries in columns j + 1 and j + 2 differ.
 
     Reorienting by `flips` xors every row's turn mask with
-    ``flips ^ (flips >> 1)``.
+    ``flips ^ (flips >> 1)``.  Bit n - 1 is the entry in column n, not a
+    turn: ``_top_walk`` masks it off, and ``_class_of`` reads only bits
+    below the column it walks from.
     """
     return [mask ^ (mask >> 1) for mask in masks]
+
+
+def _top_walk(turns: Sequence[int], n: int) -> tuple[tuple[int, ...], int]:
+    """(drops, end): the 1-indexed drop columns of the top travel of the
+    rows with turn masks `turns`, and the column where it ends.
+
+    In each row the walk goes to the row's next turn and drops into the
+    next row at the column after it.  In row r it stops at the turn, so
+    end < n exactly when the matrix is cyclic.
+    """
+    inner = (1 << n - 1) - 1  # bit n - 1 of a turn mask is not a turn
+    drops, j = [], 0  # j: the 0-based column the walk enters the row at
+    for i, turn in enumerate(turns):
+        ahead = (turn & inner) >> j
+        if not ahead:
+            break
+        j += (ahead & -ahead).bit_length()
+        if i == len(turns) - 1:
+            return tuple(drops), j
+        drops.append(j + 1)
+    return tuple(drops), n
+
+
+def _segments(drops: Sequence[int], end: int) -> tuple[tuple[int, int, int], ...]:
+    """The staircase from a[1][1] that drops at the 1-indexed `drops` and
+    ends at column `end` of the row below the last drop."""
+    segments, col = [], 1
+    for row, drop in enumerate(drops, 1):
+        segments.append((row, col, drop))
+        col = drop
+    segments.append((len(drops) + 1, col, end))
+    return tuple(segments)
 
 
 def _class_of(
@@ -636,17 +628,23 @@ def _least_lanes(cols: Sequence[int], full: int) -> tuple[int, int]:
 
 def top_travel(matrix: SignMatrix) -> Travel:
     """The unique top travel of the matrix."""
-    return Travel(TOP, _top_segments(matrix.rows))
+    turns = _turn_masks(_row_masks(matrix.rows))
+    return Travel(TOP, _segments(*_top_walk(turns, matrix.n)))
 
 
 def bottom_travel(matrix: SignMatrix) -> Travel:
-    """The unique bottom travel of the matrix."""
-    return Travel(BOTTOM, _bottom_segments(matrix.rows))
+    """The unique bottom travel of the matrix: the top walk of the rows
+    turned by 180 degrees, mapped back (row i to r + 1 - i and column c to
+    n + 1 - c)."""
+    r, n = matrix.r, matrix.n
+    turns = _turn_masks(_row_masks(row[::-1] for row in matrix.rows[::-1]))
+    segments = _segments(*_top_walk(turns, n))
+    return Travel(BOTTOM, tuple((r + 1 - i, n + 1 - a, n + 1 - b) for i, a, b in segments))
 
 
 def is_acyclic(matrix: SignMatrix) -> bool:
     """True unless the top travel ends in row r strictly before column n."""
-    return _top_drops(matrix.rows) is not None
+    return _top_walk(_turn_masks(_row_masks(matrix.rows)), matrix.n)[1] == matrix.n
 
 
 def interior_elements(matrix: SignMatrix) -> frozenset[int]:
@@ -655,13 +653,14 @@ def interior_elements(matrix: SignMatrix) -> frozenset[int]:
     Raises CyclicMatroidError on cyclic input: interior elements are defined
     only for acyclic matrices.
     """
+    masks = _row_masks(matrix.rows)
+    turns = _turn_masks(masks)
+    drops, end = _top_walk(turns, matrix.n)
+    if end < matrix.n:
+        raise CyclicMatroidError("interior elements are defined only for acyclic matrices")
     # the matrix's own top travel is the plain travel of its class, reached
     # with no flips
-    drops = _top_drops(matrix.rows)
-    if drops is None:
-        raise CyclicMatroidError("interior elements are defined only for acyclic matrices")
-    masks = _row_masks(matrix.rows)
-    return _columns(_class_of(masks, _turn_masks(masks), matrix.n, drops)[1])
+    return _columns(_class_of(masks, turns, matrix.n, drops)[1])
 
 
 def plain_travel(r: int, n: int, drops: Sequence[int]) -> Travel:
@@ -681,13 +680,7 @@ def plain_travel(r: int, n: int, drops: Sequence[int]) -> Travel:
         if d <= prev:
             raise ValueError(f"drop columns must strictly increase, got {drops}")
         prev = d
-    segments = []
-    row, col = 1, 1
-    for d in drops:
-        segments.append((row, col, d))
-        row, col = row + 1, d
-    segments.append((row, col, n))
-    return Travel(PLAIN, tuple(segments))
+    return Travel(PLAIN, _segments(drops, n))
 
 
 def trivial_travel(r: int, n: int) -> Travel:
@@ -716,17 +709,13 @@ def count_plain_travels(r: int, n: int) -> int:
 
 
 def _travel_drops(matrix: SignMatrix, travel: Travel) -> tuple[int, ...]:
+    """The drop columns of `travel`, which must be a plain travel (or the
+    one-segment shape) of the matrix's shape."""
     if travel.kind == BOTTOM:
         raise ValueError("expected a top or plain travel")
-    if travel.start != (1, 1):
-        raise ValueError("travel must start at a[1][1]")
-    if travel.end_col != matrix.n:
-        raise ValueError(f"travel must end at column {matrix.n}")
-    if travel.end_row > matrix.r:
-        raise ValueError(f"travel uses row {travel.end_row}, matrix has {matrix.r}")
     drops = travel.drop_columns
-    if any(b <= a for a, b in zip(drops, drops[1:])) or (drops and drops[0] < 2):
-        raise ValueError(f"drop columns {drops} are not strictly increasing from >= 2")
+    if plain_travel(matrix.r, matrix.n, drops).segments != travel.segments:
+        raise ValueError(f"{travel.to_text()} is not a plain travel for r={matrix.r} n={matrix.n}")
     return drops
 
 

@@ -17,7 +17,6 @@ from itertools import islice
 from typing import Iterator, Sequence
 
 from .chessboard import (
-    CONSTRUCTION_N,
     THEOREM_IDS,
     Chessboard,
     board_from_sequence,
@@ -489,15 +488,19 @@ class ExplorationResult:
 
 
 def _theorem_board_for(r: int, n: int) -> Chessboard | None:
-    """The named construction of rank r with n columns, if there is one."""
+    """The named construction of rank r with n columns, if there is one:
+    the first board ``corners_for`` builds in id and t order.  A family
+    stops once its board is wider than n, since n grows with t."""
     for theorem_id in THEOREM_IDS:
-        n_of = CONSTRUCTION_N[theorem_id]
         for t in range(n):  # every construction has n > t
-            if n_of(r, t) == n:
-                try:
-                    return corners_for(theorem_id, r, t)
-                except ValueError:  # (r, t) outside the construction's range
-                    continue
+            try:
+                board = corners_for(theorem_id, r, t)
+            except ValueError:  # (r, t) outside the construction's range
+                continue
+            if board.matrix_cols == n:
+                return board
+            if board.matrix_cols > n:
+                break
     return None
 
 

@@ -12,8 +12,10 @@ interplay rule (``parallel_rule_check``) is a consistency check that only
 the tests run on the top and bottom walks.  The reference Gale transform is
 the Fraction RREF null space that the integer minors replaced; the
 positive-cocircuit count reads induced partitions off the Gale dual through
-that null space.  The reference bottom walk is the leftward walk that the
-rotated top walk replaced.  ``reference_feasible_nonneg`` is the Fraction-tableau phase-1
+that null space.  The tuple walks ``_top_segments`` and ``_bottom_segments``
+are the references for the turn-mask walk of lomlab.travels: the top walk
+column by column, and the bottom walk leftward rather than as the top walk
+of the turned matrix.  ``reference_feasible_nonneg`` is the Fraction-tableau phase-1
 simplex that exactlp's fraction-free integer rows replaced; the hull tests
 and ``reference_separating_functional`` run on it.
 """

@@ -68,3 +68,27 @@ def test_no_module_imports_a_private_name_from_another():
                     if alias.name.startswith("_") and not alias.name.startswith("__")
                 ]
     assert not private, private
+
+
+def test_no_oracle_copies_a_src_function():
+    # a reference in tests/oracles.py with the same body as a function in
+    # src/ checks that function against itself; docstrings do not count
+    import ast
+    from pathlib import Path
+
+    def bodies(path):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                body = node.body
+                if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                    body = body[1:]
+                if body:
+                    yield node.name, ast.dump(ast.Module(body=body, type_ignores=[]))
+
+    src = {}
+    for path in sorted(Path(lomlab.__file__).parent.glob("*.py")):
+        for name, body in bodies(path):
+            src.setdefault(body, f"{path.stem}.{name}")
+    oracles = Path(__file__).with_name("oracles.py")
+    copies = [f"oracles.{name} = {src[body]}" for name, body in bodies(oracles) if body in src]
+    assert not copies, copies

@@ -26,6 +26,7 @@ from lomlab.travels import (
 
 from oracles import (
     _bottom_segments,
+    _top_segments,
     all_sign_matrices,
     collect_top_travel_shapes,
     matrix_interior,
@@ -90,16 +91,19 @@ def test_bottom_travel_is_top_travel_of_rotated_matrix():
 
 
 def test_bottom_travel_matches_leftward_walk():
-    # every matrix with r * n <= 12, then random ones up to 8 x 16
+    # every matrix with r * n <= 12, then random ones up to 8 x 16, cyclic
+    # ones included: both turn-mask walks against the tuple walks
     for r in range(1, 4):
         for n in range(r, 12 // r + 1):
             for a in all_sign_matrices(r, n):
                 assert bottom_travel(a).segments == _bottom_segments(a.rows)
+                assert top_travel(a).segments == _top_segments(a.rows)
     rng = random.Random(23)
     for _ in range(2000):
         r = rng.randint(1, 8)
         a = random_sign_matrix(rng, r, rng.randint(r, 16))
         assert bottom_travel(a).segments == _bottom_segments(a.rows)
+        assert top_travel(a).segments == _top_segments(a.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +287,15 @@ def test_sweep_rejects_foreign_shapes():
         reorientation_for_pt(a, plain_travel(3, 5, (2,)))  # wrong n
     with pytest.raises(ValueError):
         reorientation_for_pt(a, bottom_travel(a))
+    cyclic = SignMatrix.from_rows([(1, -1, 1, -1, 1, -1)] * 3)
+    assert top_travel(cyclic).end_col < cyclic.n
+    with pytest.raises(ValueError):
+        reorientation_for_pt(cyclic, top_travel(cyclic))  # ends before n
+    with pytest.raises(ValueError):
+        reorientation_for_pt(a, plain_travel(4, 6, (2, 3, 4)))  # too many drops
+    with pytest.raises(ValueError):
+        # drops twice at column 3
+        reorientation_for_pt(a, Travel(PLAIN, ((1, 1, 3), (2, 3, 3), (3, 3, 6))))
 
 
 # ---------------------------------------------------------------------------
