@@ -36,12 +36,10 @@ here, each covered by tests against independent oracles:
     partitions into (d+2)-subsets of rays whose convex hull captures the
     origin, which connects the count to facets of a dual configuration via
     the Gale transform;
-  * flipping one point's color changes only the subsets that contain it, so
-    max_r walks the colorings in Gray-code order and recounts those alone:
-    the subsets that the point, red or blue, leaves uninduced are an OR of
-    one lookup per chunk of at most six points in tables built once per
-    point, and the blue lookup reads the red table at the complemented
-    index;
+  * a coloring induces a subset exactly when each member after the first,
+    s0, has s0's color on s0's side and the other color off it, so max_r
+    counts blocks of colorings as the bits (lanes) of one int: a subset's
+    lanes are an AND of such planes, added into one carry-save counter;
   * by Kirchberger's theorem (Caratheodory in the lifted space), a point's
     signed ray is strictly separable from the others exactly when flipping
     its color induces no partition at all, so lift_unbalanced runs the
@@ -54,9 +52,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from itertools import combinations, count, islice
+from itertools import accumulate, combinations, count, islice
 from math import comb, lcm
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 from typing import Iterable
 
 from .exactlp import as_fraction, separating_functional
@@ -456,53 +454,25 @@ def induced_flags(config: PointConfig, coloring: Coloring) -> list[bool]:
 
 MAX_EXHAUSTIVE_POINTS = 22
 
-# point bits per flip-table chunk: 2^6 entries per table
-_CHUNK = 6
+# Colorings per block of max_r: lane l of block b is the coloring with mask
+# b * COLORING_LANES + l.  The blocks bound its memory.
+COLORING_LANES = 1 << 17
 
 
-def _flip_tables(config: PointConfig) -> list[list[tuple[int, int, list[int]]]]:
-    """Per point p, lookup tables of the subsets through p that a flip of p
-    leaves uninduced.
-
-    Number the subsets by j in combinations order.  Bit j of member[q] is
-    set when subset j contains q, and of side[q] when q is on its pos side:
-    over the ranks r, member[q] ORs the subsets whose r-th member is q,
-    read off the layout's members[r] with a table that marks q alone, and
-    side[q] ORs those masks AND pos[r].  Then column same[q] (other[q]) of
-    p, the subsets through p and q with q on p's side (the other side), is
-    member[p] & member[q] without (with) the bits where side[p] and side[q]
-    differ.  With p red, subset j is missed when some other member q is red
-    on the other side or blue on p's side, so the missed set is an OR over
-    q of other[q] or same[q].  The points are cut into ceil(n / _CHUNK) chunks of
-    consecutive bits, of near-equal sizes, and each chunk (shift, full,
-    table) tabulates that OR for every red pattern r of its points, with
-    p's own column zero so p's bit is ignored.  With p blue the roles of
-    same and other swap, which is the same table read at r ^ full.
-    """
-    n = config.n
-    _, members = _subset_layout(n, config.dim + 2)
-    member, side = [0] * n, [0] * n
-    for q in range(n):
-        table = _digit_table("0" * q + "1" + "0" * (n - 1 - q))
-        for members_r, pos_r in zip(members, config.pos):
-            at = int(members_r.translate(table), 2)
-            member[q] |= at
-            side[q] |= at & pos_r
-    parts = -(-n // _CHUNK)  # ceil(n / _CHUNK)
-    cuts = [n * k // parts for k in range(parts + 1)]
-    tables = [[]]  # point 1 never flips
-    for p in range(1, n):
-        chunks = []
-        for shift, stop in zip(cuts, cuts[1:]):
-            table = [0]  # doubling: bit b of the index is point shift + b red
-            for q in range(shift, stop):
-                both = member[p] & member[q] if q != p else 0
-                red_q = both & (side[p] ^ side[q])  # other[q]
-                blue_q = both ^ red_q  # same[q]
-                table = [t | blue_q for t in table] + [t | red_q for t in table]
-            chunks.append((shift, len(table) - 1, table))
-        tables.append(chunks)
-    return tables
+def _lane_maximum(slots: list[int], full: int) -> tuple[int, int]:
+    """(maximum, least lane reaching it) of a carry-save lane counter whose
+    planes of weight 2^k are slots[2k] and slots[2k + 1] (0 when empty):
+    full adders leave one plane per weight, read from the top down."""
+    total, carry = [], 0
+    for a, b in zip(slots[::2], slots[1::2]):
+        s = a ^ b
+        total.append(s ^ carry)
+        carry = (a & b) | (s & carry)
+    lanes, value = full, 0
+    for k in reversed(range(len(total))):
+        if lanes & total[k]:
+            lanes, value = lanes & total[k], value | 1 << k
+    return value, (lanes & -lanes).bit_length() - 1
 
 
 def max_r(config: PointConfig) -> tuple[int, Coloring]:
@@ -510,43 +480,70 @@ def max_r(config: PointConfig) -> tuple[int, Coloring]:
 
     Returns the maximum and the first witness in mask order (bit i of the
     mask colors point i + 2 blue), which is the lexicographically least
-    maximizing coloring under R < B.  The colorings are walked in Gray-code
-    order: step i flips the point of the lowest set bit of i, and only the
-    subsets through that point are recounted.  The subsets that the point
-    misses as red, and as blue, are one table lookup per chunk of at most
-    _CHUNK points in the _flip_tables of that point, OR-ed over the chunks,
-    so a step costs ceil(n / _CHUNK) lookups per color.  Fewer than d + 2
-    points raise DegenerateSpanError.  Configurations beyond 22 points are
-    refused; use max_r_sampled for those.
+    maximizing coloring under R < B.  Each block of up to COLORING_LANES
+    colorings is counted at once, one coloring per bit (lane) of an int:
+    red[q], the lanes where point q is red, is periodic for the mask bits
+    inside the block and full or 0 above them.  The plane of a subset, the
+    lanes inducing it, ANDs over each member q after the first, s0, the
+    lanes where q and s0 share a color (q on s0's side) or differ (q on the
+    other side).  Non-zero planes go into a carry-save counter, at most two
+    planes per weight merged by full adders.  A later block replaces the
+    best only when strictly larger, so ties keep the least mask.  Fewer
+    than d + 2 points raise DegenerateSpanError.  Configurations beyond 22
+    points are refused; use max_r_sampled for those.
     """
     _require_dependences(config, "to maximize induced partitions")
-    n = config.n
+    n, size = config.n, config.dim + 2
     if n > MAX_EXHAUSTIVE_POINTS:
         raise ValueError(
             f"exhaustive search is capped at {MAX_EXHAUSTIVE_POINTS} points; "
             "call max_r_sampled for an approximate scan"
         )
-    tables = _flip_tables(config)
-    red = (1 << n) - 1
-    count = best = _induced(config, red).bit_count()
-    best_mask = 0
-    for i in range(1, 1 << (n - 1)):
-        p = (i & -i).bit_length()  # mask bit p - 1 is point index p
-        # the subsets through p that p red, and p blue, fails to induce
-        missed_red = missed_blue = 0
-        for shift, full, table in tables[p]:
-            r = red >> shift & full
-            missed_red |= table[r]
-            missed_blue |= table[r ^ full]
-        delta = missed_red.bit_count() - missed_blue.bit_count()
-        count += delta if red >> p & 1 else -delta
-        red ^= 1 << p
-        if count >= best:
-            mask = i ^ (i >> 1)
-            if count > best or mask < best_mask:
-                best, best_mask = count, mask
-    red = ((1 << n) - 1) ^ (best_mask << 1)
-    return best, Coloring(tuple(RED if red >> i & 1 else BLUE for i in range(n)))
+    _, members = _subset_layout(n, size)
+    pos, subsets = config.pos, len(members[0])
+    # per rank r >= 1, a byte per subset in combinations order: q + 1 for
+    # its r-th member q, plus n when q is on the other side from s0
+    other = bytes.maketrans(b"01", bytes([0, n]))
+    keys = [
+        bytes(map(add, at, format(p ^ pos[0], f"0{subsets}b").encode().translate(other)))[::-1]
+        for at, p in zip(members[1:], pos[1:])
+    ]
+    cuts = list(accumulate((comb(n - 1 - s0, size - 1) for s0 in range(n - size + 1)), initial=0))
+    groups = [[keys_r[a:b] for keys_r in keys] for a, b in zip(cuts, cuts[1:])]  # per s0
+    width = min(COLORING_LANES, 1 << (n - 1))
+    full = (1 << width) - 1
+    inner = width.bit_length() - 1  # mask bits inside a block
+    periodic = [full] + [  # point k + 1 is red on the lanes with bit k clear
+        ((1 << h) - 1) * (full // ((1 << 2 * h) - 1)) for h in (1 << k for k in range(inner))
+    ]
+    best, best_mask = -1, 0
+    for block in range(1 << (n - 1 - inner)):
+        red = periodic + [0 if block >> k & 1 else full for k in range(n - 1 - inner)]
+        slots = [0] * (2 * subsets.bit_length())
+        for base, group in zip(red, groups):
+            get = ([0] + [full ^ base ^ r for r in red] + [base ^ r for r in red]).__getitem__
+            for key in zip(*group):
+                planes = map(get, key)
+                plane = next(planes)
+                for member in planes:
+                    plane &= member
+                    if not plane:
+                        break
+                k = 0
+                while plane:  # the plane enters at weight 1
+                    a, b = slots[k], slots[k + 1]
+                    if not b:  # a free slot: b fills only after a
+                        slots[k + 1 if a else k] = plane
+                        break
+                    s = a ^ b
+                    slots[k], slots[k + 1] = s ^ plane, 0
+                    plane = (a & b) | (s & plane)
+                    k += 2
+        value, lane = _lane_maximum(slots, full)
+        if value > best:
+            best, best_mask = value, block * width + lane
+    red_mask = ((1 << n) - 1) ^ (best_mask << 1)
+    return best, Coloring(tuple(RED if red_mask >> i & 1 else BLUE for i in range(n)))
 
 
 def max_r_sampled(config: PointConfig, samples: int, seed: int) -> tuple[int, Coloring]:

@@ -7,7 +7,7 @@ The reference class scan is the slow tuple-based loop that the travel
 kernel is checked against; the reference rank-3 chunk is the per-board
 object path (on the public min_interior) that the mask-level board scan
 replaced; the reference Radon functions are the Fraction cofactor loops
-that the chirotope table and the Gray-code max_r replaced.  The travel
+that the chirotope table and the coloring-lane max_r replaced.  The travel
 interplay rule (``parallel_rule_check``) is a consistency check that only
 the tests run on the top and bottom walks.  The reference Gale transform is
 the Fraction RREF null space that the integer minors replaced; the
@@ -441,7 +441,7 @@ def reference_theorem_board_for(r: int, n: int) -> Chessboard | None:
 # ---------------------------------------------------------------------------
 # Reference Radon partitions: Fraction determinants, one cofactor expansion
 # per subset and a full recount per coloring in mask order.  These are the
-# loops the chirotope table and the Gray-code max_r in lomlab.galerad
+# loops the chirotope table and the coloring-lane max_r in lomlab.galerad
 # replaced; the tests compare the two.
 
 

@@ -400,7 +400,7 @@ def test_det_triangle():
 
 
 # ---------------------------------------------------------------------------
-# The chirotope table, the Gray-code walk and the Kirchberger check against
+# The chirotope table, the coloring-lane max_r and the Kirchberger check against
 # the Fraction cofactor references in oracles.py.
 
 
@@ -605,10 +605,9 @@ def test_max_r_ties_go_to_the_least_mask():
 
 
 def test_max_r_flip_tables_across_chunk_boundaries():
-    # n from 8 to 13 cuts the points into 2 or 3 table chunks, and the walk
-    # flips every point but the first, so p takes the first, a middle and
-    # the last bit position of a chunk; the brute-force maximum recounts
-    # every coloring with point 1 red, in mask order, ties to the least mask
+    # the lane kernel on n = 8..13, one block of 2^(n-1) lanes each; the
+    # brute-force maximum recounts every coloring with point 1 red, in
+    # mask order, ties to the least mask
     ties = 0
     for d in (1, 2, 3):
         for n in range(8, 14):
@@ -619,6 +618,49 @@ def test_max_r_flip_tables_across_chunk_boundaries():
             ties += values.count(best) > 1
             assert max_r(config) == (best, colorings[values.index(best)])
     assert ties >= 3
+
+
+def test_max_r_lanes_across_block_boundaries(monkeypatch):
+    # blocks of 1, 2, 4 and 8 lanes cut the colorings of n <= 9 points into
+    # many blocks; a tie whose maximizing masks lie in different blocks
+    # must keep the least mask, which the earlier block holds
+    cases = []
+    for d in (1, 2, 3):
+        for n in range(d + 2, 10):
+            config = random_point_config(n, d, seed=10 * d + n)
+            want = reference_max_r(config)
+            values = [count_induced(config, c) for c in reference_colorings(n)]
+            tops = [mask for mask, value in enumerate(values) if value == want[0]]
+            cases.append((config, want, tops))
+    for lanes in (1, 2, 4, 8):
+        monkeypatch.setattr(galerad, "COLORING_LANES", lanes)
+        split_ties = 0
+        for config, want, tops in cases:
+            assert max_r(config) == want
+            split_ties += len({mask // lanes for mask in tops}) > 1
+        assert split_ties >= 3
+
+
+def test_max_r_pinned_across_two_default_blocks():
+    # 2^18 colorings fill two blocks of the default size
+    config = random_point_config(19, 2, seed=19)
+    assert 1 << 18 == 2 * galerad.COLORING_LANES
+    value, witness = max_r(config)
+    assert (value, witness.to_string()) == (656, "RBBRBRBBRRRRBRBRBBR")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "d, n, want",
+    [
+        (2, 20, (808, "RBBBRRRBBBRBRBBRBRRR")),
+        (3, 18, (876, "RRBBRBRBRRBRRBRBRB")),
+        (2, 22, (1189, "RRBRRBRBRBBBRBBRBRRBRR")),
+    ],
+)
+def test_max_r_pinned_on_large_shapes(d, n, want):
+    value, witness = max_r(random_point_config(n, d, seed=1))
+    assert (value, witness.to_string()) == want
 
 
 @given(configs(max_extra=6), st.integers(1, 40), st.integers(0, 2**32 - 1))
