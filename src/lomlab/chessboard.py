@@ -27,6 +27,9 @@ from .sign_matrix import SignMatrix
 
 THEOREM_IDS = ("dim2", "dim3", "general", "t1", "even-d")
 
+# the parameter a family fixes, by family: the one home of these values
+FIXED_PARAMETERS = {"dim2": {"r": 3}, "dim3": {"r": 4}, "t1": {"t": 1}}
+
 
 class BoardFormatError(ValueError):
     """Malformed board text."""
@@ -236,18 +239,15 @@ def corners_for(theorem_id: str, r: int, t: int) -> Chessboard:
     is sum(sequence) + 1.  The returned board stores the sequence and the
     corner map h(1..r), with h(r) = n.
     """
+    for name, value in FIXED_PARAMETERS.get(theorem_id, {}).items():
+        if {"r": r, "t": t}[name] != value:
+            raise ValueError(f"{theorem_id} construction requires {name} = {value}")
+    if theorem_id in ("dim2", "dim3") and t < 0:
+        raise ValueError(f"{theorem_id} construction requires t >= 0")
     if theorem_id == "dim2":
-        if r != 3:
-            raise ValueError("dim2 construction requires r = 3")
-        if t < 0:
-            raise ValueError("dim2 construction requires t >= 0")
         seq = (2, t + 3)
         h = (1, t + 3)
     elif theorem_id == "dim3":
-        if r != 4:
-            raise ValueError("dim3 construction requires r = 4")
-        if t < 0:
-            raise ValueError("dim3 construction requires t >= 0")
         seq = (2, t + 3, 2)
         h = (1, t + 3, t + 6)
     elif theorem_id == "general":
@@ -258,8 +258,6 @@ def corners_for(theorem_id: str, r: int, t: int) -> Chessboard:
     elif theorem_id == "t1":
         if r < 5:
             raise ValueError("t1 construction requires r >= 5")
-        if t != 1:
-            raise ValueError("t1 construction is the t = 1 family")
         seq = (2, 4) + tuple(2 if i % 2 == 0 else 3 for i in range(r - 3))
         h = (1,) + tuple(2 * (m - 1) + _ceil_div(m, 2) + 1 for m in range(2, r))
     elif theorem_id == "even-d":

@@ -47,7 +47,10 @@ def _range_arg(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and kept for the process:
+    parsing never changes it, and building it costs more than a small run."""
     parser = argparse.ArgumentParser(
         prog="lomlab",
         description="Lawrence oriented matroid workbench: travel scans, bound tables, Radon experiments.",
@@ -97,13 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--seed", type=int, default=0)
     p_scan.add_argument("--out", type=Path, default=Path("reports"))
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first ``main`` call and kept for the process:
-    parsing never changes it, and building it costs more than a small run."""
-    return _build_parser()
 
 
 def _param_hash(parts: list[str]) -> str:

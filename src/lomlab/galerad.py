@@ -9,16 +9,17 @@ Every Radon decision reads one table: the chirotope of the lifted points,
 the sign of det[(1, x_i)] for each (d+1)-subset, kept as one string of
 "1"/"0" chars in combinations order.  It is built once per configuration,
 after scaling each point by the lcm of its denominators (a positive scale,
-which keeps every sign), by one integer minor walk over the subsets in
-combinations order: subsets that share a prefix of points share that
-prefix's minors, and each further point is a Laplace expansion along its
-row.  A layout that depends only on (n, d + 2), built once per shape by
-C-level maps, lets every per-subset question be a few operations on masks
-with one bit per (d+2)-subset: per rank r, an itemgetter reads the sign of
-every subset minus its r-th member out of the string, so one int() gives
-the mask of subsets whose r-th member is on the pos side, and a byte string
-of every subset's r-th member, translated through a per-point table, gives
-the mask of subsets whose r-th member is red.  The pivotal facts used
+which keeps every sign), as the fields of one packed int: each row, from
+the last up, extends the packed minors of the rows below by one first-row
+expansion, and one subtraction reads every sign off a field's top bit and
+finds the first zero minor.  A layout that depends only on (n, d + 2),
+built once per shape by C-level maps, lets every per-subset question be a
+few operations on masks with one bit per (d+2)-subset: per rank r, an
+itemgetter reads the sign of every subset minus its r-th member out of the
+string, so one int() gives the mask of subsets whose r-th member is on the
+pos side, and a byte string of every subset's r-th member, translated
+through a per-point table, gives the mask of subsets whose r-th member is
+red.  The pivotal facts used
 here, each covered by tests against independent oracles:
 
   * a set of d + 2 points in general position has exactly one minimal Radon
@@ -51,10 +52,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, combinations, count, islice
-from math import comb, lcm
-from operator import add, itemgetter, mul
+from math import comb, isqrt, lcm
+from operator import add, itemgetter
 from typing import Iterable
 
 from .exactlp import as_fraction, separating_functional
@@ -85,61 +86,67 @@ class PointFormatError(ValueError):
     """Malformed point or coloring text."""
 
 
-@cache
-def _expansion_plans(width: int) -> list[list[tuple[itemgetter, itemgetter]]]:
-    """Laplace plans for the minors of a row prefix, per prefix size k.
+def _packed_minors(rows: list[list[int]]) -> tuple[int, int, int]:
+    """(packed, F, ones): the determinant of every width-subset of the
+    integer rows, width the row length, as F-bit fields of one int: field j
+    holds the minor of subset j in combinations order plus 2^(F - 1), and
+    ones has a 1 in every field.
 
-    Entry k - 1 lists, for each k-subset of the width columns in
-    combinations order, the pair (pick the k signed entries of the new row,
-    pick the k minors of the previous prefix): the minor is the sum of their
-    products, expanded along the prefix's last row.  A signed row is the row
-    followed by its negation, so entry j + width is -row[j].  A 1-row prefix
-    has its row as minors, so entry 0 is empty.
+    From the last row up, minors[C] packs the minors on column mask C of
+    every subset of the rows below, lowest field first.  The subsets that
+    start at row i come first, so minors[C] moves up C(n - i - 1, k - 1)
+    fields and the expansion along row i, sum_t (-1)^t row_i[C_t]
+    minors[C minus C_t], fills the gap for all of them at once.  A mask of
+    k columns is kept while k rows lie at or below i and width - k above.
+    Hadamard's bound, which Sylvester-Hadamard rows reach, caps every minor
+    at isqrt(S^width) < 2^(F - 1), S the largest squared row norm.
     """
-    plans: list[list[tuple[itemgetter, itemgetter]]] = [[]]
-    index = {(j,): j for j in range(width)}
-    for k in range(2, width + 1):
-        cols = list(combinations(range(width), k))
-        plans.append([
-            (
-                itemgetter(*(j + width * ((k - 1 + t) % 2) for t, j in enumerate(c))),
-                itemgetter(*(index[c[:t] + c[t + 1 :]] for t in range(k))),
-            )
-            for c in cols
-        ])
-        index = {c: i for i, c in enumerate(cols)}
-    return plans
+    n, width = len(rows), len(rows[0])
+    bits = isqrt(max(sum(v * v for v in row) for row in rows) ** width).bit_length() + 1
+    # per size k, (C, terms) per mask C of k columns: term (a, b) multiplies
+    # entry a of the row and then its negation by minors[b], C less a column
+    levels: list[list[tuple[int, list[tuple[int, int]]]]] = [[] for _ in range(width + 1)]
+    for mask in range(1, 1 << width):
+        cols = [c for c in range(width) if mask >> c & 1]
+        terms = [(c + width * (t & 1), mask ^ 1 << c) for t, c in enumerate(cols)]
+        levels[len(cols)].append((mask, terms))
+    minors = [1] + [0] * ((1 << width) - 1)
+    for i in range(n - 1, -1, -1):
+        signed = rows[i] + [-v for v in rows[i]]
+        for k in range(min(width, n - i), max(0, width - i - 1), -1):
+            shift = bits * comb(n - i - 1, k - 1)
+            for mask, terms in levels[k]:
+                expansion = sum([signed[a] * minors[b] for a, b in terms])
+                minors[mask] = (minors[mask] << shift) + expansion
+        for mask, _ in levels[width - i - 1] if i < width - 1 else ():
+            minors[mask] = 0  # no longer read
+    ones = ((1 << comb(n, width) * bits) - 1) // ((1 << bits) - 1)
+    return minors[-1] + (ones << (bits - 1)), bits, ones
+
+
+# per bit k, the bytes.translate table sending a byte to "1" or "0" by bit k
+_BIT_DIGITS = [bytes(b"01"[v >> k & 1] for v in range(256)) for k in range(8)]
+
+
+def _top_bits(packed: int, width: int, count: int) -> str:
+    """"1" or "0" per width-bit field of packed, lowest first, by its top
+    bit: eight fields fill width bytes, so field r of each eight has its top
+    bit at the same bit of every width-th byte."""
+    groups = -(-count // 8)
+    data = packed.to_bytes(groups * width, "little")
+    digits = bytearray(8 * groups)
+    for r, top in enumerate(range(width - 1, 8 * width, width)):
+        digits[r::8] = data[top >> 3 :: width].translate(_BIT_DIGITS[top & 7])
+    return digits[:count].decode()
 
 
 def _maximal_minors(rows: list[list[int]]) -> list[int]:
-    """Determinant of every width-subset of the integer rows, in
-    combinations order, width being the row length.
-
-    The walk follows the combinations tree: a node is a row prefix and holds
-    its minors on every column subset of its size, and each child expands
-    along its new row, so subsets that share a prefix share its minors.
-    """
-    n, width = len(rows), len(rows[0])
-    if width == 1:
-        return [row[0] for row in rows]
-    plans = _expansion_plans(width)
-    signed = [row + [-v for v in row] for row in rows]
-    dets: list[int] = []
-    [(leaf_row, leaf_minors)] = plans[-1]
-
-    def grow(start: int, depth: int, minors) -> None:
-        if depth == width - 1:
-            cofactors = leaf_minors(minors)
-            dets.extend(sum(map(mul, leaf_row(row), cofactors)) for row in signed[start:])
-            return
-        plan = plans[depth]
-        for i in range(start, n - width + depth + 1):
-            row = signed[i]
-            grow(i + 1, depth + 1, [sum(map(mul, pick(row), sub(minors))) for pick, sub in plan])
-
-    for i in range(n - width + 1):
-        grow(i + 1, 1, rows[i])
-    return dets
+    """Determinant of every width-subset of the integer rows, width the row
+    length, in combinations order: _packed_minors' fields less their bias."""
+    packed, width, _ = _packed_minors(rows)
+    size = comb(len(rows), len(rows[0])) * width
+    bits, half = format(packed, f"0{size}b"), 1 << (width - 1)
+    return [int(bits[a - width : a], 2) - half for a in range(size, 0, -width)]
 
 
 def _lifted_rows(points: Iterable[Vector]) -> list[list[int]]:
@@ -149,11 +156,6 @@ def _lifted_rows(points: Iterable[Vector]) -> list[list[int]]:
         scale = lcm(*(c.denominator for c in p))
         rows.append([scale] + [c.numerator * (scale // c.denominator) for c in p])
     return rows
-
-
-def _bits(indices: Iterable[int]) -> int:
-    """Bitmask of distinct 0-based point indices."""
-    return sum(1 << i for i in indices)
 
 
 @lru_cache(maxsize=4)
@@ -189,11 +191,6 @@ def _subset_layout(n: int, size: int) -> tuple[list[itemgetter], list[bytes]]:
     )
 
 
-def _digit_table(bits: str) -> bytes:
-    """bytes.translate table sending q + 1 to the digit bits[q]."""
-    return b"0" + bits.encode() + bytes(255 - len(bits))
-
-
 @dataclass(frozen=True)
 class PointConfig:
     """n exact points in dimension d, in general position.
@@ -218,12 +215,15 @@ class PointConfig:
         for p in self.points:
             if len(p) != self.dim:
                 raise ValueError(f"point {p} does not have dimension {self.dim}")
-        dets = _maximal_minors(_lifted_rows(self.points))
-        if 0 in dets:
+        packed, width, ones = _packed_minors(_lifted_rows(self.points))
+        # less one, a field keeps its top bit exactly when its minor is positive
+        positive = packed - ones
+        zero = packed & ~positive & ones << (width - 1)
+        if zero:
             subsets = combinations(range(1, self.n + 1), self.dim + 1)
-            raise GeneralPositionError(next(islice(subsets, dets.index(0), None)))
-        signs = "".join(map("01".__getitem__, map((0).__lt__, dets)))
-        object.__setattr__(self, "signs", signs)
+            first = (zero & -zero).bit_length() // width - 1
+            raise GeneralPositionError(next(islice(subsets, first, None)))
+        object.__setattr__(self, "signs", _top_bits(positive, width, comb(self.n, self.dim + 1)))
 
     @property
     def n(self) -> int:
@@ -389,7 +389,7 @@ def affine_projection(config: PointConfig, coloring: Coloring) -> tuple[Vector, 
 
 
 def _red_bits(coloring: Coloring) -> int:
-    return _bits(i for i, c in enumerate(coloring.labels) if c == RED)
+    return sum(1 << i for i, c in enumerate(coloring.labels) if c == RED)
 
 
 def _induced(config: PointConfig, red: int) -> int:
@@ -398,7 +398,8 @@ def _induced(config: PointConfig, red: int) -> int:
     exactly when it is on the pos side, or every member exactly when it is
     on the other side."""
     _, members = _subset_layout(config.n, config.dim + 2)
-    table = _digit_table(format(red, f"0{config.n}b")[::-1])
+    # the bytes.translate table sending q + 1 to point q's digit of red
+    table = b"0" + format(red, f"0{config.n}b")[::-1].encode() + bytes(255 - config.n)
     full = (1 << comb(config.n, config.dim + 2)) - 1
     every, some = full, 0
     for members_r, pos_r in zip(members, config.pos):

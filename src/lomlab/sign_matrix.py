@@ -13,6 +13,7 @@ be shared freely between workers: reorientation returns a new matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 # A basis is a weakly increasing r-tuple of column indices.
@@ -49,6 +50,11 @@ class SignMatrix:
     @property
     def n(self) -> int:
         return len(self.rows[0])
+
+    @cached_property
+    def minus_masks(self) -> tuple[int, ...]:
+        """Per row, bit j set when the entry in column j + 1 is -1; built on first use."""
+        return tuple(sum(1 << j for j, v in enumerate(row) if v < 0) for row in self.rows)
 
     def entry(self, i: int, j: int) -> int:
         """Entry a[i][j], 1-indexed."""

@@ -179,15 +179,12 @@ class Travel:
 
 
 # ---------------------------------------------------------------------------
-# The class-scan kernel.  Rows are int bitmasks, bit j set when the entry in
-# column j + 1 is -1, so reorienting a column set is one xor per row.  A
-# travel segment running from 0-based column a to column b is summarized by
-# the mask of the columns strictly inside it, ``((1 << b) - 1) & (-2 << a)``:
-# the columns k whose neighbours k - 1 and k + 1 the segment covers too.
-
-
-def _row_masks(rows: Iterable[Sequence[int]]) -> list[int]:
-    return [sum(1 << j for j, v in enumerate(row) if v < 0) for row in rows]
+# The class-scan kernel.  Rows are int bitmasks, ``SignMatrix.minus_masks``:
+# bit j is set when the entry in column j + 1 is -1, so reorienting a column
+# set is one xor per row.  A travel segment running from 0-based column a to
+# column b is summarized by the mask of the columns strictly inside it,
+# ``((1 << b) - 1) & (-2 << a)``: the columns k whose neighbours k - 1 and
+# k + 1 the segment covers too.
 
 
 def _columns(mask: int) -> frozenset[int]:
@@ -603,7 +600,7 @@ def _class_lanes(matrix: SignMatrix) -> Iterator[tuple[int, list[int], list[int]
     """The class-lane kernel: (full, drops, cols) per batch of the matrix's
     classes, batched by ``_drop_batches``; cols[c] holds the lanes on
     which column c + 1 is interior."""
-    masks = _row_masks(matrix.rows)
+    masks = matrix.minus_masks
     for full, drops in _drop_batches(matrix.r, matrix.n):
         yield full, drops, _class_interiors(masks, drops, full)
 
@@ -628,7 +625,7 @@ def _least_lanes(cols: Sequence[int], full: int) -> tuple[int, int]:
 
 def top_travel(matrix: SignMatrix) -> Travel:
     """The unique top travel of the matrix."""
-    turns = _turn_masks(_row_masks(matrix.rows))
+    turns = _turn_masks(matrix.minus_masks)
     return Travel(TOP, _segments(*_top_walk(turns, matrix.n)))
 
 
@@ -637,14 +634,14 @@ def bottom_travel(matrix: SignMatrix) -> Travel:
     turned by 180 degrees, mapped back (row i to r + 1 - i and column c to
     n + 1 - c)."""
     r, n = matrix.r, matrix.n
-    turns = _turn_masks(_row_masks(row[::-1] for row in matrix.rows[::-1]))
+    turns = _turn_masks(matrix.rotate180().minus_masks)
     segments = _segments(*_top_walk(turns, n))
     return Travel(BOTTOM, tuple((r + 1 - i, n + 1 - a, n + 1 - b) for i, a, b in segments))
 
 
 def is_acyclic(matrix: SignMatrix) -> bool:
     """True unless the top travel ends in row r strictly before column n."""
-    return _top_walk(_turn_masks(_row_masks(matrix.rows)), matrix.n)[1] == matrix.n
+    return _top_walk(_turn_masks(matrix.minus_masks), matrix.n)[1] == matrix.n
 
 
 def interior_elements(matrix: SignMatrix) -> frozenset[int]:
@@ -653,7 +650,7 @@ def interior_elements(matrix: SignMatrix) -> frozenset[int]:
     Raises CyclicMatroidError on cyclic input: interior elements are defined
     only for acyclic matrices.
     """
-    masks = _row_masks(matrix.rows)
+    masks = matrix.minus_masks
     turns = _turn_masks(masks)
     drops, end = _top_walk(turns, matrix.n)
     if end < matrix.n:
@@ -728,7 +725,7 @@ def reorientation_for_pt(matrix: SignMatrix, travel: Travel) -> frozenset[int]:
     (checked in the tests).
     """
     drops = _travel_drops(matrix, travel)
-    masks = _row_masks(matrix.rows)
+    masks = matrix.minus_masks
     return _columns(_class_of(masks, _turn_masks(masks), matrix.n, drops)[0])
 
 

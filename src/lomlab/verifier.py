@@ -17,6 +17,7 @@ from itertools import islice
 from typing import Iterator, Sequence
 
 from .chessboard import (
+    FIXED_PARAMETERS,
     THEOREM_IDS,
     Chessboard,
     board_from_sequence,
@@ -137,8 +138,9 @@ def _instance_box(
     fixes filled in; ``corners_for`` alone decides which (r, t) it accepts."""
     if theorem_id not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
-    r_values = r_values or {"dim2": [3], "dim3": [4]}.get(theorem_id)
-    t_values = t_values or {"t1": [1]}.get(theorem_id)
+    fixed = {name: [value] for name, value in FIXED_PARAMETERS.get(theorem_id, {}).items()}
+    r_values = r_values or fixed.get("r")
+    t_values = t_values or fixed.get("t")
     for what, values in (("an r range", r_values), ("a t range", t_values)):
         if not values:
             raise ValueError(f"{theorem_id} needs {what}")

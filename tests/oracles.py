@@ -141,6 +141,18 @@ def all_sign_matrices(r: int, n: int):
         yield SignMatrix(rows)
 
 
+def reference_minus_masks(matrix: SignMatrix) -> tuple[int, ...]:
+    """Per row, the columns holding -1 as a bitmask, one entry at a time."""
+    masks = []
+    for row in matrix.rows:
+        mask = 0
+        for j in range(matrix.n):
+            if row[j] == -1:
+                mask |= 1 << j
+        masks.append(mask)
+    return tuple(masks)
+
+
 def random_sign_matrix(rng: random.Random, r: int, n: int) -> SignMatrix:
     return SignMatrix(
         tuple(tuple(rng.choice((1, -1)) for _ in range(n)) for _ in range(r))

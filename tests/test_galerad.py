@@ -448,6 +448,72 @@ def test_maximal_minors_match_determinant_oracle(width):
     assert zeros > 0
 
 
+def _sylvester(order):
+    """Sylvester-Hadamard rows of a power-of-two order: their determinant
+    meets Hadamard's bound, the product of the row norms."""
+    rows = [[1]]
+    while len(rows) < order:
+        rows = [row + row for row in rows] + [row + [-v for v in row] for row in rows]
+    return rows
+
+
+@pytest.mark.parametrize("width", range(1, 8))
+def test_packed_minors_fit_their_fields_at_the_extremes(width):
+    # the field width comes from Hadamard's bound: entries up to 2^60 in
+    # size, and Sylvester-Hadamard rows scaled by 2^40, which meet the bound,
+    # in both signs and with a repeated row; fewer rows than the width have
+    # no minor at all
+    rng = random.Random(width)
+    big = 1 << 60
+    cases = [
+        [[rng.choice((-big, big, rng.randint(-big, big))) for _ in range(width)] for _ in range(n)]
+        for n in (width, width + 1, width + 3)
+    ]
+    if width & (width - 1) == 0:
+        rows = [[v << 40 for v in row] for row in _sylvester(width)]
+        cases += [rows, [[-v for v in rows[0]]] + rows[1:], rows + rows[-1:]]
+    for rows in cases:
+        expected = [
+            _det([[Fraction(v) for v in row] for row in subset])
+            for subset in combinations(rows, width)
+        ]
+        assert galerad._maximal_minors(rows) == expected
+        if width > 1:
+            assert galerad._maximal_minors(rows[: width - 1]) == []
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_chirotope_signs_match_determinant_oracle_at_the_extremes(d):
+    # lifted rows of coordinates up to 2^60 (over denominators up to 2^10),
+    # and of Sylvester-Hadamard points, which meet Hadamard's bound
+    rng = random.Random(d)
+    big = 1 << 60
+    configs = [
+        [
+            tuple(Fraction(rng.randint(-big, big), rng.randint(1, 1 << 10)) for _ in range(d))
+            for _ in range(d + 1 + extra)
+        ]
+        for extra in (0, 2)
+    ]
+    if (d + 1) & d == 0:
+        points = [tuple(Fraction(v) for v in row[1:]) for row in _sylvester(d + 1)]
+        configs += [points, points[1::-1] + points[2:]]
+    for points in configs:
+        lifted = [[Fraction(1), *p] for p in points]
+        dets = [_det(list(subset)) for subset in combinations(lifted, d + 1)]
+        config = PointConfig(d, tuple(points))
+        assert config.signs == "".join("1" if v > 0 else "0" for v in dets)
+
+
+@pytest.mark.parametrize("d, n", [(1, 1), (2, 1), (2, 2), (3, 2), (4, 4)])
+def test_configuration_of_at_most_d_points_has_an_empty_chirotope(d, n):
+    config = PointConfig.from_rows(d, [[i + 1] + [0] * (d - 1) for i in range(n)])
+    assert config.signs == ""
+    assert config.chirotope == {}
+    for width in (1, 2, 7, 8, 9):
+        assert galerad._top_bits(0, width, 0) == ""
+
+
 @given(configs())
 @settings(max_examples=60, deadline=None)
 def test_chirotope_table_matches_determinant_oracle(config):

@@ -92,3 +92,29 @@ def test_no_oracle_copies_a_src_function():
     oracles = Path(__file__).with_name("oracles.py")
     copies = [f"oracles.{name} = {src[body]}" for name, body in bodies(oracles) if body in src]
     assert not copies, copies
+
+
+def test_no_module_has_an_unused_import():
+    # a top-level import that nothing else in the module reads is left
+    # behind by a removal; a line marked `# noqa: F401` keeps a name on
+    # purpose
+    import ast
+    from pathlib import Path
+
+    unused = []
+    for path in sorted(Path(lomlab.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Import) or (
+                isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__"
+            ):
+                unused += [
+                    f"{path.name}:{alias.lineno}: {alias.name}"
+                    for alias in stmt.names
+                    if (alias.asname or alias.name).split(".")[0] not in read
+                    and "# noqa: F401" not in lines[alias.lineno - 1]
+                ]
+    assert not unused, unused

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from lomlab.sign_matrix import MatrixFormatError, SignMatrix, chirotope, reorient
 
-from oracles import chirotope_direct, random_sign_matrix
+from oracles import chirotope_direct, random_sign_matrix, reference_minus_masks
 
 
 def sign_matrices(max_r=4, max_n=7):
@@ -118,3 +118,16 @@ def test_text_format_errors():
 def test_rotate180():
     a = SignMatrix.from_rows([(1, -1, 1), (1, 1, -1)])
     assert a.rotate180() == SignMatrix.from_rows([(-1, 1, 1), (1, -1, 1)])
+
+
+def test_minus_masks_match_the_per_entry_loop():
+    # built once per matrix, and a reorientation xors every row's mask
+    rng = random.Random(11)
+    for _ in range(300):
+        r = rng.randint(1, 7)
+        a = random_sign_matrix(rng, r, rng.randint(r, 18))
+        assert a.minus_masks == reference_minus_masks(a)
+        assert a.minus_masks is a.minus_masks
+        cols = [c for c in range(1, a.n + 1) if rng.random() < 0.5]
+        flips = sum(1 << (c - 1) for c in cols)
+        assert reorient(a, cols).minus_masks == tuple(m ^ flips for m in a.minus_masks)

@@ -341,9 +341,9 @@ def _columns(mask):
 def _scan_classes(matrix):
     # (drops, flips, interior) per class in class order, flips and interior
     # as column bitmasks: one _class_of call per class of _class_order
-    from lomlab.travels import _class_of, _class_order, _row_masks, _turn_masks
+    from lomlab.travels import _class_of, _class_order, _turn_masks
 
-    masks = _row_masks(matrix.rows)
+    masks = matrix.minus_masks
     for drops in _class_order(matrix.r, matrix.n):
         yield (drops, *_class_of(masks, _turn_masks(masks), matrix.n, drops))
 

@@ -330,7 +330,6 @@ def test_code_masks_match_canonical_matrix_rows():
     # of the chunk's code planes, on one range per n that starts off a
     # chunk boundary
     from lomlab.chessboard import canonical_planes
-    from lomlab.travels import _row_masks
     from lomlab.verifier import _board_from_code, _code_planes
 
     from oracles import reference_board_from_code, reference_canonical_matrix
@@ -346,7 +345,7 @@ def test_code_masks_match_canonical_matrix_rows():
             if start <= code < stop:
                 lane = code - start
                 masks = [sum((plane >> lane & 1) << j for j, plane in enumerate(row)) for row in planes]
-                assert masks == _row_masks(matrix.rows), (n, code)
+                assert tuple(masks) == matrix.minus_masks, (n, code)
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -428,3 +427,18 @@ def test_rank3_scan_n14_pruned_agrees_with_unpruned():
     assert full.min_interior_observed == pruned.min_interior_observed == 9
     assert full.parameters["attain_bound"] == pruned.parameters["attain_bound"]
     assert int(pruned.parameters["evaluated"]) < int(full.parameters["evaluated"])
+
+
+def test_verify_box_fills_in_the_parameter_corners_for_fixes():
+    # dim2's r, dim3's r and t1's t live in one table, which both read
+    from lomlab.chessboard import FIXED_PARAMETERS
+    from lomlab.verifier import _instance_box
+
+    for theorem_id, fixed in FIXED_PARAMETERS.items():
+        box = _instance_box(theorem_id, None if "t" in fixed else [2], None if "r" in fixed else [5])
+        for _, r, t in box:
+            assert {"r": r, "t": t}.items() >= fixed.items()
+            corners_for(theorem_id, r, t)
+            for name, value in fixed.items():
+                with pytest.raises(ValueError, match=f"requires {name} = {value}"):
+                    corners_for(theorem_id, **{"r": r, "t": t, name: value + 1})
