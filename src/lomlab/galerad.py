@@ -92,12 +92,12 @@ def _packed_minors(rows: list[list[int]]) -> tuple[int, int, int]:
     holds the minor of subset j in combinations order plus 2^(F - 1), and
     ones has a 1 in every field.
 
-    From the last row up, minors[C] packs the minors on column mask C of
-    every subset of the rows below, lowest field first.  The subsets that
-    start at row i come first, so minors[C] moves up C(n - i - 1, k - 1)
+    From the last row up, minors[C] packs the minors on the k columns in
+    mask C of every k-subset of the rows below, lowest field first.  Those
+    that start at row i come first, so minors[C] moves up C(n - i - 1, k - 1)
     fields and the expansion along row i, sum_t (-1)^t row_i[C_t]
-    minors[C minus C_t], fills the gap for all of them at once.  A mask of
-    k columns is kept while k rows lie at or below i and width - k above.
+    minors[C minus C_t], fills the gap for all of them at once.  A mask is
+    kept while at least k rows lie at or below i and width - k above.
     Hadamard's bound, which Sylvester-Hadamard rows reach, caps every minor
     at isqrt(S^width) < 2^(F - 1), S the largest squared row norm.
     """
