@@ -16,10 +16,10 @@ import argparse
 import functools
 import hashlib
 import sys
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import add
 from pathlib import Path
 
-from . import galerad
 from .chessboard import THEOREM_IDS, board_of, canonical_matrix, corners_for
 from .sign_matrix import MatrixFormatError, SignMatrix, reorient
 
@@ -211,6 +211,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_radon(args) -> int:
+    from . import galerad
+
     config = galerad.PointConfig.from_text(args.points.read_text())
     lines = [f"points: {args.points}", f"n: {config.n}", f"d: {config.dim}", f"seed: {args.seed}"]
     rc = 0
@@ -222,9 +224,11 @@ def _cmd_radon(args) -> int:
         lines.append(f"coloring: {coloring.to_string()}")
         lines.append(f"count: {value}")
         if args.trace:
-            subsets = combinations(range(1, config.n + 1), config.dim + 2)
-            for sub, hit in zip(subsets, galerad.induced_flags(config, coloring)):
-                lines.append(f"subset {','.join(map(str, sub))}: {'induced' if hit else 'no'}")
+            labels = list(map(str, range(1, config.n + 1)))
+            subsets = map(",".join, combinations(labels, config.dim + 2))
+            flags = galerad.induced_flags(config, coloring)
+            verdicts = map(add, subsets, map((": no", ": induced").__getitem__, flags))
+            lines.extend(map(add, repeat("subset "), verdicts))
         summary = f"count = {value}"
     elif args.mode == "maximize":
         value, witness = galerad.max_r(config)
@@ -312,14 +316,23 @@ COMMANDS = {
     "scan": _cmd_scan,
 }
 
-# Every library error here is a ValueError; these are the ones about the
-# input files' contents.  The order of main's clauses matters.
-_DATA_ERRORS = (
-    MatrixFormatError,
-    galerad.PointFormatError,
-    galerad.GeneralPositionError,
-    galerad.DegenerateSpanError,
-)
+
+def _value_error_kind(exc: ValueError) -> tuple[int, str]:
+    """(exit code, message prefix) for a ValueError a handler raised.  The
+    data errors are the ones about the input files' contents.  The galerad
+    classes are read from sys.modules, so that a verify run never loads the
+    Radon engine: a class that was never imported cannot have been raised."""
+    galerad = sys.modules.get(f"{__package__}.galerad")
+    if galerad is not None:
+        if isinstance(exc, galerad.LiftSeparationError):
+            return 1, "lift not applicable"
+        if isinstance(
+            exc, (galerad.PointFormatError, galerad.GeneralPositionError, galerad.DegenerateSpanError)
+        ):
+            return DATA_ERROR, "data error"
+    if isinstance(exc, MatrixFormatError):
+        return DATA_ERROR, "data error"
+    return USAGE_ERROR, "usage error"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -329,9 +342,6 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return COMMANDS[args.command](args)
-    except galerad.LiftSeparationError as exc:
-        print(f"lift not applicable: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         if exc.filename is None:
             raise
@@ -340,12 +350,10 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"data error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return DATA_ERROR
-    except _DATA_ERRORS as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return DATA_ERROR
     except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        code, what = _value_error_kind(exc)
+        print(f"{what}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

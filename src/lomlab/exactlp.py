@@ -2,10 +2,11 @@
 
 ``separating_functional`` solves a phase-1 linear program: is there an
 x >= 0 with A x = b?  The simplex uses Bland's rule, which guarantees
-termination.  Each tableau row is stored fraction-free, as Python ints over
-one positive denominator; the true row is ``ints / den``.  A pivot takes one
-gcd per row instead of one per arithmetic operation, and every comparison is
-exact on the same rationals a Fraction tableau holds.  Half of the program's
+termination.  The tableau is fraction-free (Edmonds, Bareiss): every row,
+the cost row too, holds Python ints over one shared positive denominator,
+the basis determinant, and a pivot divides each updated row exactly by the
+previous pivot, so a pivot takes no gcd and every comparison is exact on
+the same rationals a Fraction tableau holds.  Half of the program's
 columns repeat the other half up to sign (w = x+ - x-, and each slack
 against its artificial), so only the independent half is stored and Bland's
 rule reads the rest off it.  So the pivots are those of the full Fraction
@@ -16,7 +17,7 @@ solution.  Coordinates are exact: a float raises TypeError.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 Vector = list[Fraction]
@@ -29,32 +30,19 @@ def as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-def _reduce(tableau: list[list[int]], dens: list[int], i: int) -> None:
-    """Divide row i and its denominator by their gcd."""
-    g = gcd(dens[i], *tableau[i])
-    if g > 1:
-        tableau[i] = [v // g for v in tableau[i]]
-        dens[i] //= g
-
-
-def _pivot(tableau: list[list[int]], dens: list[int], leave: int, column: list[int]) -> None:
+def _pivot(tableau: list[list[int]], den: int, leave: int, column: list[int]) -> int:
     """Pivot on row leave, with column the int entries of every row in the
-    entering column; the last row of the tableau is the cost row.
-
-    The pivot row divided by its true pivot value is ``ints / column[leave]``,
-    and row i becomes ``(row_i * pd - f * pivot_row) / (den_i * pd)`` with
-    pd the pivot row's entry and f row i's entry in the entering column.
-    """
-    dens[leave] = column[leave]
-    _reduce(tableau, dens, leave)
+    entering column and den the rows' shared denominator; the last row of
+    the tableau is the cost row.  Returns the new denominator, the pivot
+    entry p: the pivot row's ints stay, and every other row becomes
+    ``(row * p - f * pivot_row) // den`` with f its entry in the entering
+    column, a division that is exact (Bareiss)."""
+    p = column[leave]
     pivot_row = tableau[leave]
-    pd = dens[leave]
     for i, (row, f) in enumerate(zip(tableau, column)):
-        if i == leave or f == 0:
-            continue
-        tableau[i] = [v * pd - f * p for v, p in zip(row, pivot_row)]
-        dens[i] *= pd
-        _reduce(tableau, dens, i)
+        if i != leave:
+            tableau[i] = [(v * p - f * q) // den for v, q in zip(row, pivot_row)]
+    return p
 
 
 def _entering(cost: list[int], den: int, dim: int, count: int):
@@ -106,41 +94,34 @@ def separating_functional(
         raise ValueError(f"index {index} is outside 0..{count - 1}")
     dim = len(vectors[0])
     art, rhs = dim, dim + count  # first artificial column, right-hand side
+    if any(len(vec) != dim for vec in vectors):
+        raise ValueError("vectors must share a dimension")
+    coords = [[as_fraction(c) for c in vec] for vec in vectors]
+    # the x columns scaled by the lcm of every denominator: a positive
+    # scale of x+ and x-, so Bland's rule takes the same pivots, and every
+    # row is integral with the identity in the artificial columns
+    scale = lcm(*(c.denominator for vec in coords for c in vec))
     tableau: list[list[int]] = []
-    dens: list[int] = []
-    for k, vec in enumerate(vectors):
-        if len(vec) != dim:
-            raise ValueError("vectors must share a dimension")
-        coords = [as_fraction(c) for c in vec]
-        den = lcm(*(c.denominator for c in coords))
+    for k, vec in enumerate(coords):
         sign = 1 if k == index else -1
-        ints = [sign * c.numerator * (den // c.denominator) for c in coords] + [0] * count + [den]
-        ints[art + k] = den
+        ints = [sign * c.numerator * (scale // c.denominator) for c in vec] + [0] * count + [1]
+        ints[art + k] = 1
         tableau.append(ints)
-        dens.append(den)
     # basis variables by their number in x+, x-, s, a order
     basis = list(range(2 * dim + count, 2 * dim + 2 * count))
-
     # cost row: minus the sum of the rows, with the artificial columns cleared
-    cost_den = lcm(*dens)
-    cost = [0] * (rhs + 1)
-    for ints, den in zip(tableau, dens):
-        scale = cost_den // den
-        for j, v in enumerate(ints):
-            cost[j] -= v * scale
+    cost = [-sum(column) for column in zip(*tableau)]
     cost[art:rhs] = [0] * count
     tableau.append(cost)
-    dens.append(cost_den)
-    for i in range(count + 1):
-        _reduce(tableau, dens, i)
+    den = 1  # every row's denominator, the basis determinant
 
     while True:
-        enter = _entering(tableau[count], dens[count], dim, count)
+        enter = _entering(tableau[count], den, dim, count)
         if enter is None:
             break
         var, col, sign, cost_entry = enter
         column = [sign * row[col] for row in tableau[:count]] + [cost_entry]
-        # Bland: smallest ratio rhs_i / coeff_i (dens cancel), compared by
+        # Bland: smallest ratio rhs_i / coeff_i (den cancels), compared by
         # cross-multiplying positive coefficients; ties to the smallest
         # basis variable
         leave = None
@@ -156,7 +137,7 @@ def separating_functional(
                     leave = i
         if leave is None:
             raise ArithmeticError("phase-1 objective is unbounded; cannot happen")
-        _pivot(tableau, dens, leave, column)
+        den = _pivot(tableau, den, leave, column)
         basis[leave] = var
 
     if tableau[count][rhs] != 0:
@@ -164,7 +145,7 @@ def separating_functional(
     w = [Fraction(0)] * dim
     for i, var in enumerate(basis):
         if var < 2 * dim:
-            value = Fraction(tableau[i][rhs], dens[i])
+            value = Fraction(scale * tableau[i][rhs], den)
             if var < dim:
                 w[var] += value
             else:

@@ -55,7 +55,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations, count, islice
 from math import comb, isqrt, lcm
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 from typing import Iterable
 
 from .exactlp import as_fraction, separating_functional
@@ -191,6 +191,14 @@ def _subset_layout(n: int, size: int) -> tuple[list[itemgetter], list[bytes]]:
     )
 
 
+def _coordinate(token: str) -> Fraction:
+    """Fraction(token), read through int() when the token is an integer."""
+    try:
+        return Fraction(int(token))
+    except ValueError:
+        return Fraction(token)
+
+
 @dataclass(frozen=True)
 class PointConfig:
     """n exact points in dimension d, in general position.
@@ -282,7 +290,7 @@ class PointConfig:
             if len(parts) != d:
                 raise PointFormatError(f"point line {line!r} needs {d} coordinates")
             try:
-                rows.append(tuple(Fraction(p) for p in parts))
+                rows.append(tuple(map(_coordinate, parts)))
             except (ValueError, ZeroDivisionError) as exc:
                 raise PointFormatError(f"bad coordinate in {line!r}") from exc
         return cls(d, tuple(rows))
@@ -381,11 +389,11 @@ def affine_projection(config: PointConfig, coloring: Coloring) -> tuple[Vector, 
     """
     if coloring.n != config.n:
         raise ValueError("coloring length must match the configuration")
-    rays = []
-    for i, p in enumerate(config.points, start=1):
-        sign = 1 if coloring.color(i) == RED else -1
-        rays.append(tuple(Fraction(sign) * c for c in p) + (Fraction(sign),))
-    return tuple(rays)
+    one = Fraction(1)
+    return tuple(
+        (*p, one) if color == RED else (*(-c for c in p), -one)
+        for p, color in zip(config.points, coloring.labels)
+    )
 
 
 def _red_bits(coloring: Coloring) -> int:
@@ -581,7 +589,9 @@ def lift_unbalanced(config: PointConfig, coloring: Coloring) -> tuple[PointConfi
     exactly when it is in the hull of d + 2 of them.  The exact simplex then
     runs once, on the first such point, for the separator.  Cutting the ray
     bundle with a hyperplane parallel to the separator yields the new
-    configuration; every subset keeps its ray bundle up to positive scaling
+    configuration, on integers: with W the separator and R_i ray i, each
+    scaled by the lcm of its denominators, the cut is R_i * lcm_W / <W, R_i>,
+    one Fraction per lifted coordinate.  Every subset keeps its ray bundle up to positive scaling
     and one linear change of coordinates, so the induced count is unchanged.
     Raises LiftSeparationError when no point is separable, which happens
     exactly when the dual configuration of the best representative stays
@@ -602,12 +612,13 @@ def lift_unbalanced(config: PointConfig, coloring: Coloring) -> tuple[PointConfi
         )
     # cut each ray with the hyperplane <w, z> = 1 (sign of the scale encodes
     # the side), then drop one coordinate with w_k != 0 as an affine chart
-    scales = [sum(w_i * c for w_i, c in zip(functional, ray)) for ray in rays]
-    chart = next(k for k, w_k in enumerate(functional) if w_k != 0)
+    ((lcm_w, *weights),) = _lifted_rows([functional])
+    chart = next(k for k, w_k in enumerate(weights) if w_k)
     lifted_points = []
-    for ray, scale in zip(rays, scales):
-        point = tuple(c / scale for c in ray)
-        lifted_points.append(tuple(c for k, c in enumerate(point) if k != chart))
+    for _, *ray in _lifted_rows(rays):
+        scale = sum(map(mul, weights, ray))
+        del ray[chart]
+        lifted_points.append(tuple(Fraction(c * lcm_w, scale) for c in ray))
     labels = tuple(RED if i == chosen else BLUE for i in range(config.n))
     lifted = PointConfig(config.dim, tuple(lifted_points))
     return lifted, Coloring(labels)

@@ -147,9 +147,8 @@ def _instance_box(
     return [(theorem_id, r, t) for r in r_values for t in t_values]
 
 
-def _check_lower_instance(instance: tuple[str, int, int]) -> Witness:
-    theorem_id, r, t = instance
-    board = corners_for(theorem_id, r, t)
+def _check_lower_instance(instance: tuple[int, int, Chessboard]) -> Witness:
+    r, t, board = instance
     matrix = canonical_matrix(board)
     observed, travel = min_interior(matrix)
     params = (("r", r), ("t", t), ("n", matrix.n))
@@ -173,9 +172,9 @@ def verify_lower(
     """
     start = time.perf_counter()
     box = _instance_box(theorem_id, t_values, r_values)
-    for _, r, t in box:
-        corners_for(theorem_id, r, t)  # validate parameters before any work
-    witnesses = _map_instances(_check_lower_instance, box, workers)
+    # build every construction, which validates its parameters, before any scan
+    boards = [(r, t, corners_for(theorem_id, r, t)) for _, r, t in box]
+    witnesses = _map_instances(_check_lower_instance, boards, workers)
     worst = min(witnesses, key=lambda w: w.observed - w.required)
     report = VerificationReport(
         theorem_id=theorem_id,

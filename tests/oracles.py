@@ -731,6 +731,34 @@ def reference_separating_functional(vectors, index):
     return [solution[j] - solution[dim + j] for j in range(dim)]
 
 
+def reference_lift_points(config: PointConfig, coloring: Coloring):
+    """(lifted points, labels) of lomlab.galerad.lift_unbalanced, in Fraction
+    arithmetic, or None when no point is separable.  The chosen point is the
+    first whose flip induces nothing by the reference count; the signed rays
+    (x_i; 1), negated for blue points, are cut by <w, z> = 1 with w the
+    reference separator, and the first coordinate where w_k != 0 dropped."""
+    splits, labels = _reference_splits(config), coloring.labels
+    swap = {RED: BLUE, BLUE: RED}
+    flips = (
+        Coloring(labels[:i] + (swap[labels[i]],) + labels[i + 1 :]) for i in range(config.n)
+    )
+    chosen = next((i for i, flip in enumerate(flips) if _reference_count(splits, flip) == 0), None)
+    if chosen is None:
+        return None
+    rays = []
+    for p, label in zip(config.points, labels):
+        sign = Fraction(1 if label == RED else -1)
+        rays.append([sign * c for c in p] + [sign])
+    functional = reference_separating_functional(rays, chosen)
+    scales = [sum(w_k * c for w_k, c in zip(functional, ray)) for ray in rays]
+    chart = next(k for k, w_k in enumerate(functional) if w_k != 0)
+    points = tuple(
+        tuple(c / scale for k, c in enumerate(ray) if k != chart)
+        for ray, scale in zip(rays, scales)
+    )
+    return points, tuple(RED if i == chosen else BLUE for i in range(config.n))
+
+
 # ---------------------------------------------------------------------------
 # Polytope oracles.
 

@@ -64,6 +64,8 @@ LAZY_MODULES = (
     "lomlab.bounds",
     "concurrent.futures.process",
     "multiprocessing",
+    "lomlab.galerad",
+    "lomlab.exactlp",
 )
 
 
@@ -84,7 +86,8 @@ def _lazy_modules_loaded_by(code):
 def test_start_up_loads_only_the_engine_the_command_runs(square, tmp_path):
     assert _lazy_modules_loaded_by("import lomlab.cli") == []
     radon = ["radon", str(square), "count", "--coloring", "RBRB", "--out", str(tmp_path)]
-    assert _lazy_modules_loaded_by(f"from lomlab.cli import main\nassert main({radon!r}) == 0") == []
+    loaded = _lazy_modules_loaded_by(f"from lomlab.cli import main\nassert main({radon!r}) == 0")
+    assert loaded == ["lomlab.galerad", "lomlab.exactlp"]
     # one worker runs in this process: the verifier, but no pool
     verify = ["verify", "rank3-scan", "--n", "5", "--workers", "1", "--out", str(tmp_path)]
     loaded = _lazy_modules_loaded_by(f"from lomlab.cli import main\nassert main({verify!r}) == 0")
@@ -221,6 +224,8 @@ def test_radon_count_square(square, tmp_path, capsys):
         ("7 2\n0 0\n5 1\n2 6\n-3 4\n-4 -2\n1 -5\n3 3\n", "RBBRBRB"),
         # fractional coordinates, d = 3
         ("6 3\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n1/2 1/3 1/4\n-3/2 2/5 7/3\n", "RBBRRB"),
+        # two-digit labels and 5-member subsets: the moment curve, d = 3
+        ("12 3\n" + "".join(f"{t} {t * t} {t ** 3}\n" for t in range(-5, 7)), "RBBRBRRBRBBR"),
     ],
 )
 def test_radon_count_trace_lines_match_is_radon_pair(points, coloring, tmp_path, capsys):

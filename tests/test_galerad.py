@@ -9,6 +9,8 @@ from lomlab import galerad
 from lomlab.bounds import hd1_bound
 from lomlab.exactlp import separating_functional
 from lomlab.galerad import (
+    BLUE,
+    RED,
     Coloring,
     DegenerateSpanError,
     GeneralPositionError,
@@ -36,6 +38,7 @@ from oracles import (
     reference_dependent_subset,
     reference_det as _det,
     reference_gale_transform,
+    reference_lift_points,
     reference_max_r,
     reference_max_r_sampled,
     reference_minimal_partition,
@@ -79,6 +82,22 @@ def test_point_text_errors():
     for header in ("0 2", "0 0", "2 0", "-1 2"):
         with pytest.raises(PointFormatError, match="needs n >= 1 and d >= 1"):
             PointConfig.from_text(header + "\n")
+
+
+@pytest.mark.parametrize("token", "007 +3 -0 1_000 \u0663 3/4 -3/4 1.5 1e3 1/0 0x10 --3".split())
+def test_coordinate_parse_agrees_with_fraction(token):
+    # an integer token is read through int(), any other through Fraction:
+    # each must give Fraction(token)'s value, or the error it would give
+    text = f"3 1\n1/3\n{token}\n5/7\n"
+    try:
+        value = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(PointFormatError) as info:
+            PointConfig.from_text(text)
+        assert str(info.value) == f"bad coordinate in {token!r}"
+    else:
+        (coordinate,) = PointConfig.from_text(text).points[1]
+        assert coordinate == value and type(coordinate) is Fraction
 
 
 def test_random_config_is_reproducible():
@@ -895,6 +914,31 @@ def test_separating_functional_rejects_float_coordinates():
 def test_separating_functional_rejects_no_vectors():
     with pytest.raises(ValueError, match="at least one vector"):
         separating_functional([], 0)
+
+
+def test_lift_matches_the_fraction_reference_on_rational_points():
+    # the pool's points are integers, so here the integer cut meets
+    # denominators: d 1-3, denominators up to 12, seeded colorings
+    rng = random.Random(2023)
+    lifted_runs = 0
+    while lifted_runs < 40:
+        d = rng.randint(1, 3)
+        n = rng.randint(d + 2, d + 5)
+        rows = [[Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(d)] for _ in range(n)]
+        try:
+            config = PointConfig.from_rows(d, rows)
+        except GeneralPositionError:
+            continue
+        coloring = Coloring(tuple(rng.choice((RED, BLUE)) for _ in range(n)))
+        expected = reference_lift_points(config, coloring)
+        if expected is None:
+            with pytest.raises(LiftSeparationError):
+                lift_unbalanced(config, coloring)
+            continue
+        lifted, lifted_coloring = lift_unbalanced(config, coloring)
+        assert (lifted.points, lifted_coloring.labels) == expected, (config, coloring)
+        assert count_induced(lifted, lifted_coloring) == count_induced(config, coloring)
+        lifted_runs += 1
 
 
 def test_lift_is_identical_with_the_reference_separator(monkeypatch):
