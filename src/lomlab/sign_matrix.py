@@ -126,18 +126,31 @@ def chirotope(matrix: SignMatrix, basis: Basis) -> int:
     return product
 
 
+# Per byte value, the signs of its eight columns, least significant bit first.
+_BYTE_SIGNS = tuple(tuple(-1 if b >> j & 1 else 1 for j in range(8)) for b in range(256))
+
+
 def reorient(matrix: SignMatrix, cols: Iterable[int]) -> SignMatrix:
-    """Negate every entry of the listed columns; the input is unchanged."""
-    flips = set(cols)
-    for c in flips:
-        if not (1 <= c <= matrix.n):
-            raise ValueError(f"column {c} outside [1, {matrix.n}]")
-    if not flips:
+    """Negate every entry of the listed columns; the input is unchanged.
+
+    The flipped columns are xored into the row masks, and the rows are read
+    back from the new masks a byte of columns at a time.  Their entries are
+    +1 or -1 by construction, so the new matrix skips the entry check and
+    keeps the new masks as its ``minus_masks``.
+    """
+    n, flip = matrix.n, 0
+    for c in cols:
+        if not (1 <= c <= n):
+            raise ValueError(f"column {c} outside [1, {n}]")
+        flip |= 1 << c - 1
+    if not flip:
         return matrix
-    zero_based = {c - 1 for c in flips}
-    return SignMatrix(
-        tuple(
-            tuple(-v if j in zero_based else v for j, v in enumerate(row))
-            for row in matrix.rows
-        )
+    masks = tuple(mask ^ flip for mask in matrix.minus_masks)
+    size = (n + 7) // 8
+    rows = tuple(
+        sum(map(_BYTE_SIGNS.__getitem__, mask.to_bytes(size, "little")), ())[:n] for mask in masks
     )
+    flipped = object.__new__(SignMatrix)
+    # a frozen dataclass keeps its field and its cached properties in __dict__
+    flipped.__dict__.update(rows=rows, minus_masks=masks)
+    return flipped

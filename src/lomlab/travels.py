@@ -47,10 +47,12 @@ The class order is the lexicographic order of breakpoints (drop columns,
 then n), and the batches of ``_drop_batches`` define it: each batch holds
 the drop columns of up to CLASS_LANES consecutive classes as planes, one
 lane per class, built from blocks of the class tree (``_class_sizes``,
-``_block_drops``) with no loop over its classes.  ``_class_order`` reads
-the batches lane by lane for the callers that want one class at a time:
-``enumerate_plain_travels`` (the classes of the all-plus matrix) and the
-shapes of the rank-3 scan.
+``_block_drops``) with no loop over its classes.  CLASS_LANES is 2 ** 16:
+one plane is 8 KiB, and the plane operations are bound by the words they
+touch rather than by the fixed cost of a batch.  ``_class_order`` decodes
+each batch once, walking each drop plane's set lanes, for the callers that
+want one class at a time: ``enumerate_plain_travels`` (the classes of the
+all-plus matrix) and the shapes of the rank-3 scan.
 
 ``_class_of`` evaluates a single class over int-bitmask rows, for the
 witness replay (``reorientation_for_pt``, ``interior_elements``).  Each
@@ -443,9 +445,12 @@ def board_minima(planes: Sequence[Sequence[int]], n: int, full: int) -> list[int
     return minima
 
 
-# Classes per batch of the class-lane kernel.  The batches bound its memory:
-# a large matrix has far more classes than one batch should hold.
-CLASS_LANES = 1 << 12
+# Classes per batch of the class-lane kernel.  Each batch costs r * n
+# Python-level steps whatever its width, and at 2 ** 16 lanes (8 KiB per
+# plane) the plane operations are word-bound, so wider batches buy memory
+# and no speed.  The batches bound the kernel's memory: a large matrix has
+# far more classes than one batch should hold.
+CLASS_LANES = 1 << 16
 
 
 def _class_sizes(r: int, n: int) -> list[list[int]]:
@@ -529,10 +534,20 @@ def _decode_lane(drops: Sequence[int], lane: int) -> tuple[int, ...]:
 
 def _class_order(r: int, n: int) -> Iterator[tuple[int, ...]]:
     """The 1-indexed drop columns of each class of an r x n matrix, in
-    class order: the batches' drop planes read lane by lane."""
+    class order.  Each batch is decoded once: the set lanes of each drop
+    plane are found in its binary digits, and its column goes onto those
+    lanes' drops, so a class costs its drops and not the batch width."""
     for full, drops in _drop_batches(r, n):
-        for lane in range(full.bit_length()):
-            yield _decode_lane(drops, lane)
+        lanes: list[list[int]] = [[] for _ in range(full.bit_length())]
+        for c, plane in enumerate(drops, 1):
+            if plane:
+                digits = bin(plane)[:1:-1]  # digit l is lane l
+                lane = digits.find("1")
+                while lane >= 0:
+                    lanes[lane].append(c)
+                    lane = digits.find("1", lane + 1)
+        for cols in lanes:
+            yield tuple(cols)
 
 
 def _class_interiors(masks: Sequence[int], drops: Sequence[int], full: int) -> list[int]:
@@ -697,7 +712,7 @@ def enumerate_plain_travels(r: int, n: int, include_trivial: bool = False) -> It
     """
     for drops in _class_order(r, n):
         if drops or include_trivial:
-            yield plain_travel(r, n, drops)
+            yield Travel(PLAIN, _segments(drops, n))
 
 
 def count_plain_travels(r: int, n: int) -> int:

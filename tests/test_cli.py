@@ -162,6 +162,56 @@ def test_verify_failing_instance_exits_1_and_dumps_fixtures(tmp_path, capsys):
     assert "ok=false" in (out / "even-d-r7-t2.witness.txt").read_text()
 
 
+# The report blocks of two constructions whose classes run in several
+# batches of the class-lane kernel (n = 35: 712 batches; n = 37), as written
+# with batches of 4,096 classes: the batch width must not change a report.
+LONG_BOX_REPORTS = {
+    ("even-d", "9", "5"): (
+        "seed: 0\n"
+        "report: lomlab-verification-v1\n"
+        "theorem: even-d\n"
+        "param r: 9\n"
+        "param t: 5\n"
+        "instances_checked: 1\n"
+        "min_interior_observed: 6\n"
+        "required_bound: 6\n"
+        "witness: r=9 t=5 n=35 observed=6 required=6 ok=true "
+        "travel=1:1-2;2:2-3;3:3-4;4:4-5;5:5-6;6:6-7;7:7-28;8:28-30;9:30-35 "
+        "flips=2,3,4,5,6,7,9,11,13,15,17,19,21,23,25,27,29,31,33,35 "
+        "interior=29,31,32,33,34,35\n"
+        "verdict: pass\n"
+        "end: lomlab-verification-v1\n"
+        "\n"
+    ),
+    ("general", "8", "5"): (
+        "seed: 0\n"
+        "report: lomlab-verification-v1\n"
+        "theorem: general\n"
+        "param r: 8\n"
+        "param t: 5\n"
+        "instances_checked: 1\n"
+        "min_interior_observed: 7\n"
+        "required_bound: 6\n"
+        "witness: r=8 t=5 n=37 observed=7 required=6 ok=true "
+        "travel=1:1-11;2:11-19;3:19-25;4:25-31;5:31-35;6:35-36;7:36-37;8:37-37 "
+        "flips=11,12,13,14,15,16,17,18,25,26,27,28,29,30,35,37 "
+        "interior=1,3,4,5,6,7,8\n"
+        "verdict: pass\n"
+        "end: lomlab-verification-v1\n"
+        "\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("theorem, r, t", sorted(LONG_BOX_REPORTS))
+def test_verify_long_boxes_match_the_pinned_reports(theorem, r, t, tmp_path, capsys):
+    out = tmp_path / "reports"
+    args = ["verify", theorem, "--r", r, "--t", t, "--workers", "1", "--out", str(out)]
+    assert run(args, capsys)[0] == 0
+    report = next(out.glob(f"verify-{theorem}-*.txt"))
+    assert report.read_text() == LONG_BOX_REPORTS[theorem, r, t]
+
+
 def test_verify_rank3_scan(tmp_path, capsys):
     code, stdout, _ = run(
         ["verify", "rank3-scan", "--n", "5..5", "--workers", "1", "--out", str(tmp_path / "r")],

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from lomlab.sign_matrix import MatrixFormatError, SignMatrix, chirotope, reorient
 
-from oracles import chirotope_direct, random_sign_matrix, reference_minus_masks
+from oracles import _reoriented_rows, chirotope_direct, random_sign_matrix, reference_minus_masks
 
 
 def sign_matrices(max_r=4, max_n=7):
@@ -131,3 +131,22 @@ def test_minus_masks_match_the_per_entry_loop():
         cols = [c for c in range(1, a.n + 1) if rng.random() < 0.5]
         flips = sum(1 << (c - 1) for c in cols)
         assert reorient(a, cols).minus_masks == tuple(m ^ flips for m in a.minus_masks)
+
+
+def test_reorient_matches_the_reference_rows_and_masks():
+    # the rows read back from the xored masks against the per-entry
+    # reference, on seeded matrices up to 7 x 18; the new matrix keeps the
+    # xored masks and equals the matrix built from the reference rows
+    rng = random.Random(2407)
+    for _ in range(300):
+        r = rng.randint(1, 7)
+        a = random_sign_matrix(rng, r, rng.randint(r, 18))
+        cols = frozenset(c for c in range(1, a.n + 1) if rng.random() < 0.5)
+        b = reorient(a, list(cols) + list(cols)[:1])  # a repeated column flips once
+        expect = SignMatrix(_reoriented_rows(a.rows, cols))
+        assert b.rows == expect.rows and b == expect and hash(b) == hash(expect), (a.rows, cols)
+        assert b.minus_masks == reference_minus_masks(expect), (a.rows, cols)
+        assert reorient(a, ()) is a
+        for bad in (0, a.n + 1):
+            with pytest.raises(ValueError):
+                reorient(a, cols | {bad})

@@ -509,7 +509,7 @@ def test_lane_kernel_matches_reference_on_random_lanes(r):
     assert len(seen) >= 3  # the batches reach past the all-zero early stop
 
 
-@pytest.mark.parametrize("lanes", [3, 4096])
+@pytest.mark.parametrize("lanes", [3, 4096, 1 << 16])
 def test_find_interior_set_matches_reference_scan(monkeypatch, lanes):
     # seeded matrices of every rank 1..7: the first class in class order
     # with a given interior set, the least count, a set no class has, and
@@ -574,7 +574,40 @@ def test_lane_order_decodes_to_the_reference_drop_sets():
             assert list(_class_order(r, n)) == reference_drop_sets(r, n, True), (r, n)
 
 
-@pytest.mark.parametrize("lanes", [1, 3, 64, 1 << 12])
+def test_class_order_decodes_batches_of_every_width(monkeypatch):
+    # each batch is decoded once, plane by plane; the classes come out in
+    # class order whether a batch holds one class or every class
+    from lomlab import travels
+
+    for lanes in (1, 3, 64, travels.CLASS_LANES):
+        monkeypatch.setattr(travels, "CLASS_LANES", lanes)
+        for r in range(1, 7):
+            for n in range(1, 11):
+                assert list(travels._class_order(r, n)) == reference_drop_sets(r, n, True), (lanes, r, n)
+
+
+def test_min_interior_memory_stays_within_a_batch_bound():
+    # a 9 x 20 matrix has 169,766 classes: at least three batches at the
+    # width the bound was set at, so a wider batch fails the count; this
+    # matrix's first batch (63,004 classes) has a class with no interior
+    # element and peaks at about 2.8 MiB, and the bound is about twice that
+    import tracemalloc
+
+    from lomlab import travels
+
+    matrix = random_sign_matrix(random.Random(2024), 9, 20)
+    widths = [full.bit_length() for full, _ in travels._drop_batches(9, 20)]
+    assert sum(widths) == count_plain_travels(9, 20) + 1 == 169_766 and len(widths) >= 3
+    tracemalloc.start()
+    try:
+        min_interior(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * 2**20, peak
+
+
+@pytest.mark.parametrize("lanes", [1, 3, 64, 1 << 12, 1 << 16])
 def test_batch_drop_planes_match_the_reference_drop_sets(monkeypatch, lanes):
     # each batch is a run of whole classes in class order, at most `lanes`
     # wide, and bit l of its plane for column c says whether the batch's

@@ -169,7 +169,7 @@ def test_counterexample_reports_match_the_reference_scan():
         assert report.witnesses[0].travel.drop_columns == first, which
 
 
-@pytest.mark.parametrize("lanes", [1, 3, 64])
+@pytest.mark.parametrize("lanes", [1, 3, 64, 1 << 16])
 def test_class_batches_change_no_result(monkeypatch, lanes):
     # the batches of the class-lane kernel, down to one class each, give the
     # same minimum and witness, and the same counterexample reports
