@@ -46,9 +46,11 @@ reorientation class.
 The class order is the lexicographic order of breakpoints (drop columns,
 then n), and the batches of ``_drop_batches`` define it: each batch holds
 the drop columns of up to CLASS_LANES consecutive classes as planes, one
-lane per class, built from blocks of the class tree (``_class_sizes``,
-``_block_drops``) with no loop over its classes.  CLASS_LANES is 2 ** 16:
-one plane is 8 KiB, and the plane operations are bound by the words they
+lane per class, built from blocks of the class tree with no loop over
+its classes.  A block's planes depend only on how many drops and columns
+it has left, so ``_block`` builds each once per process, for every shape,
+and keeps only blocks that fit a batch.  CLASS_LANES is 2 ** 16: one
+plane is 8 KiB, and the plane operations are bound by the words they
 touch rather than by the fixed cost of a batch.  ``_class_order`` decodes
 each batch once, walking each drop plane's set lanes, for the callers that
 want one class at a time: ``enumerate_plain_travels`` (the classes of the
@@ -69,24 +71,25 @@ lane masks.
 
 * ``board_minima`` (the rank-3 board scan) runs a batch of matrices, one
   per lane, through the classes in class order.  A class's top travel is
-  the same on every lane: the flips and the rows' turns are per-lane
-  planes, criterion (c) is one column mask per row, and each class's
-  interior count goes into bit-sliced per-lane minima, which it returns
-  as one lane mask per value.
+  the same on every lane, so the reorientation's moves are the per-lane
+  turn planes of the rows it runs along, criterion (c) is one column mask
+  per row, and each class's interior count goes into bit-sliced per-lane
+  minima, which it returns as one lane mask per value.
 * ``_class_lanes`` (``min_interior`` and ``find_interior_set``) runs one
   matrix with a class per lane.  The entries and turns are the same on
-  every lane; the drop columns, the flips and the segments are per-lane
-  planes, and the kernel returns one plane per column of the lanes on
-  which that column is interior.  It takes the batches' drop planes as
-  they come, in class order, so ``min_interior`` can stop after the first
-  batch with a class that has no interior element, and reads its witness
-  from that batch's planes.
+  every lane; the drop columns and the segments are per-lane planes, the
+  moves are the rows' turns gathered over the segments, and the kernel
+  returns one plane per column of the lanes on which that column is
+  interior.  It takes the batches' drop planes as they come, in class
+  order, so ``min_interior`` can stop after the first batch with a class
+  that has no interior element, and reads its witness from that batch's
+  planes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -370,22 +373,30 @@ def _sweep(
 
 
 @lru_cache(maxsize=16)
-def _class_shapes(r: int, n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], bool], ...]:
-    """Per class of an r x n matrix, in class order: its 0-based drop
-    columns, the columns ``_sweep`` records in each row (those strictly
-    inside the top travel's segment in that row or the row above, and
-    column 1 in row 1) and whether column n is interior by criterion (b).
-    They depend only on (r, n), so each rank-3 scan task reuses them."""
+def _class_shapes(
+    r: int, n: int
+) -> tuple[tuple[tuple[tuple[int, bool], ...], tuple[int, ...], bool], ...]:
+    """Per class of an r x n matrix, in class order: per 0-based column
+    c < n - 1, the row its top travel runs along through columns c and
+    c + 1 and whether it drops at c + 1; the columns ``_sweep`` records in
+    each row (those strictly inside the top travel's segment in that row
+    or the row above, and column 1 in row 1); and whether column n is
+    interior by criterion (b).  They depend only on (r, n), so each
+    rank-3 scan task reuses them."""
     shapes = []
     for drops in _class_order(r, n):
         tops = [1] + [0] * r  # column 1, where criterion (a) is read
+        steps: list[tuple[int, bool]] = []
         a = 0
-        for k, drop in enumerate(drops, 1):
-            tops[k] = ((1 << drop - 1) - 1) & (-2 << a)
-            a = drop - 1
+        for k, drop in enumerate(drops):
+            b = drop - 1
+            tops[k + 1] = ((1 << b) - 1) & (-2 << a)
+            steps += [(k, False)] * (b - 1 - a) + [(k, True)]
+            a = b
         tops[len(drops) + 1] = ((1 << n) - 1) & (-2 << a)
+        steps += [(len(drops), False)] * (n - 1 - a)
         record = tuple(tops[i] | tops[i + 1] for i in range(r))
-        shapes.append((tuple(drop - 1 for drop in drops), record, len(drops) == r - 1 and a < n - 1))
+        shapes.append((tuple(steps), record, len(drops) == r - 1 and a < n - 1))
     return tuple(shapes)
 
 
@@ -399,33 +410,21 @@ def board_minima(planes: Sequence[Sequence[int]], n: int, full: int) -> list[int
     ``min_interior``'s count of its matrix.
 
     A class's top travel is its plain travel on every lane, so the classes
-    run in class order (``_class_shapes``), and each drop step of
-    ``_class_of`` becomes xors of planes: a flip plane is the entry plane
-    in the segment's row xor the pivot plane.  The rows' turns are per-lane
-    planes, and criterion (c) is a column mask per row, the same on every
-    lane.  Each class's interior columns go into a bit-sliced count, and
-    the count into bit-sliced running minima.  The scan stops once every
-    lane has a class with no interior element.
+    run in class order (``_class_shapes``).  The travel runs level along
+    its row through columns c and c + 1 of the reoriented matrix, or drops
+    at c + 1, so the reorientation's moves (see ``_sweep``) are the turns
+    of that row, complemented where the travel drops: one plane per column,
+    read off the rows' turn planes.  Criterion (c) is a column mask per
+    row, the same on every lane.  Each class's interior columns go into a
+    bit-sliced count, and the count into bit-sliced running minima.  The
+    scan stops once every lane has a class with no interior element.
     """
     r = len(planes)
     width = (n + 1).bit_length()
     least = [full] * width  # 2 ** width - 1 lies above every count
     turns = [[row[c] ^ row[c + 1] for c in range(n - 1)] for row in planes]
-    for drops, record, last in _class_shapes(r, n):
-        flips = [0] * n  # column 1 is never flipped
-        k, a, pivot = 0, 0, planes[0][0]
-        for b in drops:
-            row = planes[k]
-            for c in range(a + 1, b):
-                flips[c] = row[c] ^ pivot
-            flips[b] = row[b] ^ pivot ^ full
-            pivot = planes[k + 1][b] ^ flips[b]
-            k += 1
-            a = b
-        row = planes[k]
-        for c in range(a + 1, n):
-            flips[c] = row[c] ^ pivot
-        moves = [flips[c] ^ flips[c + 1] for c in range(n - 1)]
+    for steps, record, last in _class_shapes(r, n):
+        moves = [turns[k][c] ^ full if drop else turns[k][c] for c, (k, drop) in enumerate(steps)]
         interior = _sweep(turns, moves, record, full)
         if last:
             interior.append(full)
@@ -449,49 +448,44 @@ def board_minima(planes: Sequence[Sequence[int]], n: int, full: int) -> list[int
 # Python-level steps whatever its width, and at 2 ** 16 lanes (8 KiB per
 # plane) the plane operations are word-bound, so wider batches buy memory
 # and no speed.  The batches bound the kernel's memory: a large matrix has
-# far more classes than one batch should hold.
+# far more classes than one batch should hold.  The table ``_block`` keeps
+# only blocks that fit a batch, each at most one plane per column.
 CLASS_LANES = 1 << 16
 
 
-def _class_sizes(r: int, n: int) -> list[list[int]]:
-    """sizes[k][a]: the classes in block (k, a).
+def _block_size(t: int, m: int) -> int:
+    """The classes in block (t, m): sum of C(m, j) for j = 0 .. min(t, m).
 
-    Block (k, a) is the ways to continue a travel that has made k drops,
-    none after 0-based column a: up to min(r - 1, n - 1) - k more drops,
-    all after column a, in class order.  A block whose next drop may come
-    before the last column splits into the continuations dropping at
-    a + 1, block (k + 1, a + 1) behind that drop, and then block (k, a + 1);
-    at a = n - 2 the block is the travel that runs on to column n, then the
-    one dropping at column n.  That is the lexicographic order of
+    Block (t, m) is the ways to continue a travel with up to t more drops,
+    all in its last m columns, in class order.  A block with m >= 2 and
+    t >= 1 splits into the continuations dropping at the first of the m
+    columns, block (t - 1, m - 1) behind that drop, and then block
+    (t, m - 1); a one-column block is the travel that runs on to column n,
+    then the one dropping at column n.  That is the lexicographic order of
     breakpoints, and the tests check it against a sort of every drop set.
     """
-    top = min(r - 1, n - 1)
-    sizes = [[1] * n for _ in range(top + 1)]
-    for k in range(top - 1, -1, -1):
-        sizes[k][n - 2] = 2
-        for a in range(n - 3, -1, -1):
-            sizes[k][a] = sizes[k + 1][a + 1] + sizes[k][a + 1]
-    return sizes
+    return sum(comb(m, j) for j in range(min(t, m) + 1))
 
 
-def _block_drops(sizes: list[list[int]], n: int, k: int, a: int, memo: dict) -> list[int]:
-    """The drop planes of block (k, a) for the columns after a: bit l of
-    planes[c - a - 1] is set when the block's l-th class drops at 0-based
-    column c.  Built from the two blocks it splits into, side by side;
-    `memo` keeps every block built, so each is built once."""
-    planes = memo.get((k, a))
-    if planes is None:
-        if k == len(sizes) - 1 or a == n - 1:
-            planes = [0] * (n - 1 - a)
-        elif a == n - 2:
-            planes = [0b10]  # the travel running on to column n, then the drop at n
-        else:
-            head = _block_drops(sizes, n, k + 1, a + 1, memo)
-            tail = _block_drops(sizes, n, k, a + 1, memo)
-            shift = sizes[k + 1][a + 1]
-            planes = [(1 << shift) - 1] + [h | t << shift for h, t in zip(head, tail)]
-        memo[k, a] = planes
-    return planes
+@cache
+def _block(t: int, m: int) -> tuple[int, ...]:
+    """The drop planes of block (t, m): bit l of planes[c] is set when the
+    block's l-th class drops at the c-th of its m columns.  Built from the
+    two blocks it splits into, side by side.
+
+    The planes depend only on (t, m), so one table serves every shape for
+    the life of the process.  Only ``_drop_batches`` asks for a block, and
+    only for one that fits a batch, so an entry holds at most m planes of
+    CLASS_LANES bits; the planes are a tuple, so no caller can change the
+    table.
+    """
+    if not t or not m:
+        return (0,) * m
+    if m == 1:
+        return (0b10,)  # the travel running on to column n, then the drop at n
+    head, tail = _block(t - 1, m - 1), _block(t, m - 1)
+    shift = _block_size(t - 1, m - 1)
+    return ((1 << shift) - 1,) + tuple([h | x << shift for h, x in zip(head, tail)])
 
 
 def _drop_batches(r: int, n: int) -> Iterator[tuple[int, list[int]]]:
@@ -501,18 +495,19 @@ def _drop_batches(r: int, n: int) -> Iterator[tuple[int, list[int]]]:
     lane, and bit l of drops[c] is set when that class drops at 0-based
     column c.
 
-    A batch is block (k, a) behind a prefix of k drops, which are `full`
-    planes, and holds at most CLASS_LANES classes; a block that is too
-    large is split as ``_class_sizes`` says.  The blocks' planes come from
-    ``_block_drops``, so there is no loop over the classes of a batch.
+    A batch is a block behind a prefix of k drops, none after 0-based
+    column a, which are `full` planes: block (top - k, n - 1 - a), with
+    top = min(r - 1, n - 1).  It holds at most CLASS_LANES classes; a block
+    that is too large is split as ``_block_size`` says.  The blocks' planes
+    come from the table ``_block``, so there is no loop over the classes
+    of a batch.
     """
-    sizes = _class_sizes(r, n)
-    top = len(sizes) - 1
-    memo: dict = {}
+    top = min(r - 1, n - 1)
     stack = [((), 0, 0)]
     while stack:
         prefix, k, a = stack.pop()
-        if sizes[k][a] > CLASS_LANES:
+        size = _block_size(top - k, n - 1 - a)
+        if size > CLASS_LANES:
             if a == n - 2:  # the two classes of the block, one at a time
                 stack.append((prefix + (a + 1,), top, a + 1))
                 stack.append((prefix, top, a))
@@ -520,8 +515,9 @@ def _drop_batches(r: int, n: int) -> Iterator[tuple[int, list[int]]]:
                 stack.append((prefix, k, a + 1))
                 stack.append((prefix + (a + 1,), k + 1, a + 1))
             continue
-        full = (1 << sizes[k][a]) - 1
-        drops = [0] * (a + 1) + _block_drops(sizes, n, k, a, memo)
+        full = (1 << size) - 1
+        drops = [0] * (a + 1)
+        drops += _block(top - k, n - 1 - a)
         for c in prefix:
             drops[c] = full
         yield full, drops
@@ -555,40 +551,36 @@ def _class_interiors(masks: Sequence[int], drops: Sequence[int], full: int) -> l
     batch of classes: bit l of drops[c] is set when class l drops at
     0-based column c.
 
-    The entries and turns of the matrix are the same on every lane; the
-    flips are per-lane planes.  The top travels are swept left to right:
-    rows[j] holds the lanes whose travel runs along row j at column c, and
-    `pivot` the entry bit each carried into its row.  A level lane flips
-    column c when its entry differs from the pivot, a dropping lane when it
-    agrees, and a lane dropping from row j to row j + 1 at column c takes
-    the pivot p ^ m[j + 1][c] ^ m[j][c] ^ 1.  Column c is strictly inside a
-    segment on the lanes that do not drop at it.
+    The entries and turns of the matrix are the same on every lane.  The
+    top travels are swept left to right: rows[j] holds the lanes whose
+    travel runs along row j at column c, after the drops there.  As in
+    ``board_minima``, the reorientation moves at column c on the lanes
+    whose row turns at c, complemented on the lanes that drop at c + 1.
+    Column c is strictly inside a segment on the lanes that do not drop
+    at it.
     """
     r, n = len(masks), len(drops)
     rows = [full] + [0] * (r - 1)
-    pivot = full if masks[0] & 1 else 0
-    flips = [0] * n  # column 1 is never flipped
     at = [rows]  # at[c]: rows after the drops at column c
     for c in range(1, n):
         drop = drops[c]
-        minus = 0
-        for j in range(r):
-            if masks[j] >> c & 1:
-                minus |= rows[j]
-        flips[c] = pivot ^ minus ^ drop
         if drop:
-            rows, turn = rows[:], 0
+            rows = rows[:]
             for j in range(r - 2, -1, -1):  # bottom up, so a lane drops once
                 moved = rows[j] & drop
                 if moved:
                     rows[j] ^= moved
                     rows[j + 1] |= moved
-                    if (masks[j] ^ masks[j + 1]) >> c & 1:
-                        turn |= moved
-            pivot ^= drop ^ turn
         at.append(rows)
-    moves = [flips[c] ^ flips[c + 1] for c in range(n - 1)]
-    turns = [[full if (row ^ row >> 1) >> c & 1 else 0 for c in range(n - 1)] for row in masks]
+    turn_masks = _turn_masks(masks)
+    moves = []
+    for c in range(n - 1):
+        move = drops[c + 1]
+        for lanes, turn in zip(at[c], turn_masks):
+            if turn >> c & 1:
+                move ^= lanes  # the rows hold disjoint lanes
+        moves.append(move)
+    turns = [[full if turn >> c & 1 else 0 for c in range(n - 1)] for turn in turn_masks]
     # every column but n, in the sweep's order: rows from the bottom up,
     # columns n - 1 down to 2 (and to 1 in row 1)
     levels = _sweep(turns, moves, [(1 << n - 1) - 1] * r, full)

@@ -298,8 +298,9 @@ def _code_planes(start: int, stop: int, bits: int) -> list[int]:
     """Lane planes of the codes in [start, stop): bit l of planes[b] is bit b
     of the code start + l.
 
-    The lane numbers' bits are periodic patterns, and start is added to
-    them with a ripple carry, so any range works, aligned or not.
+    The lane numbers' bits are periodic patterns, each built by doubling
+    its first period, and start is added to them with a ripple carry, so
+    any range works, aligned or not.
     """
     lanes = stop - start
     full = (1 << lanes) - 1
@@ -308,9 +309,11 @@ def _code_planes(start: int, stop: int, bits: int) -> list[int]:
         half = 1 << b
         lane_bit = 0
         if half < lanes:
-            period = 2 * half
-            repeat = ((1 << period * -(-lanes // period)) - 1) // ((1 << period) - 1)
-            lane_bit = (((1 << half) - 1) << half) * repeat & full
+            lane_bit, width = ((1 << half) - 1) << half, 2 * half
+            while width < lanes:
+                lane_bit |= lane_bit << width
+                width *= 2
+            lane_bit &= full
         start_bit = full if start >> b & 1 else 0
         planes.append(lane_bit ^ start_bit ^ carry)
         carry = (lane_bit & start_bit) | (carry & (lane_bit ^ start_bit))

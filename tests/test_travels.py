@@ -479,33 +479,49 @@ def test_single_class_evaluator_matches_scan(matrix):
     _classes_match_single_class_evaluator(matrix)
 
 
-@pytest.mark.parametrize("r", [3, 4])
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
 def test_lane_kernel_matches_reference_on_random_lanes(r):
     # seeded random r x n matrices, not canonical boards: row 1 and column 1
     # vary too, and the lanes of a batch are unrelated
+    from lomlab.chessboard import canonical_matrix, corners_for
     from lomlab.travels import board_minima
 
     rng = random.Random(1100 + r)
+    batches = [
+        [random_sign_matrix(rng, r, n) for _ in range(lanes)]
+        for n in range(max(r, 2), 11)
+        for lanes in (1, rng.randint(2, 90))
+    ]
+    if r >= 5:
+        # every random matrix above reaches 0 at these ranks; the t1
+        # construction (least count 2) and copies of it with one entry
+        # flipped (0, 1 or 2) reach past the early stop
+        rows = canonical_matrix(corners_for("t1", r, 1)).rows
+        batches.append([SignMatrix(rows)])
+        for _ in range(11):
+            i, j = rng.randrange(r), rng.randrange(len(rows[0]))
+            flipped = [list(row) for row in rows]
+            flipped[i][j] = -flipped[i][j]
+            batches[-1].append(SignMatrix(tuple(map(tuple, flipped))))
     seen = set()
-    for n in range(max(r, 2), 11):
-        for lanes in (1, rng.randint(2, 90)):
-            matrices = [random_sign_matrix(rng, r, n) for _ in range(lanes)]
-            planes = [
-                [sum((m.rows[i][j] < 0) << lane for lane, m in enumerate(matrices)) for j in range(n)]
-                for i in range(r)
-            ]
-            full = (1 << lanes) - 1
-            minima = board_minima(planes, n, full)
-            assert len(minima) == n + 1
-            union = 0
-            for at in minima:
-                assert not union & at  # each lane has one minimum
-                union |= at
-            assert union == full
-            for lane, m in enumerate(matrices):
-                value = next(v for v, at in enumerate(minima) if at >> lane & 1)
-                assert value == reference_min_interior(m)[0], (n, m.rows)
-                seen.add(value)
+    for matrices in batches:
+        n, lanes = matrices[0].n, len(matrices)
+        planes = [
+            [sum((m.rows[i][j] < 0) << lane for lane, m in enumerate(matrices)) for j in range(n)]
+            for i in range(r)
+        ]
+        full = (1 << lanes) - 1
+        minima = board_minima(planes, n, full)
+        assert len(minima) == n + 1
+        union = 0
+        for at in minima:
+            assert not union & at  # each lane has one minimum
+            union |= at
+        assert union == full
+        for lane, m in enumerate(matrices):
+            value = next(v for v, at in enumerate(minima) if at >> lane & 1)
+            assert value == reference_min_interior(m)[0], (n, m.rows)
+            seen.add(value)
     assert len(seen) >= 3  # the batches reach past the all-zero early stop
 
 
@@ -605,6 +621,49 @@ def test_min_interior_memory_stays_within_a_batch_bound():
     finally:
         tracemalloc.stop()
     assert peak < 5.5 * 2**20, peak
+
+
+def test_block_table_retains_a_bounded_size():
+    # the table keeps every block the even-d r = 9, t = 5 matrix (9 x 35,
+    # 25,211,936 classes) scans, after the call: 2,422,736 bytes (219
+    # blocks) when measured, and the bound is about 1.5 times that
+    import gc
+    import tracemalloc
+
+    from lomlab import travels
+    from lomlab.chessboard import canonical_matrix, corners_for
+
+    matrix = canonical_matrix(corners_for("even-d", 9, 5))
+    travels._block.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        min_interior(matrix)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert travels._block.cache_info().currsize and retained < 3.5 * 2**20, retained
+
+
+@pytest.mark.parametrize("lanes", [1, 3, 1 << 16])
+def test_block_table_shared_across_shapes_changes_no_batch(monkeypatch, lanes):
+    # the blocks the 7 x 12 shape leaves in the table serve every smaller
+    # shape: each gives the batches of a build from a cleared table
+    from lomlab import travels
+
+    monkeypatch.setattr(travels, "CLASS_LANES", lanes)
+    shapes = [(r, n) for r in range(1, 8) for n in range(1, 13)]
+    cold = {}
+    for r, n in shapes:
+        travels._block.cache_clear()
+        cold[r, n] = list(travels._drop_batches(r, n))
+    travels._block.cache_clear()
+    list(travels._drop_batches(7, 12))
+    for r, n in shapes:
+        assert list(travels._drop_batches(r, n)) == cold[r, n], (lanes, r, n)
+    # the table hands out tuples, so no caller can change an entry
+    assert all(isinstance(travels._block(t, m), tuple) for t in range(7) for m in range(12))
 
 
 @pytest.mark.parametrize("lanes", [1, 3, 64, 1 << 12, 1 << 16])
