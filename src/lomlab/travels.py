@@ -54,7 +54,7 @@ plane is 8 KiB, and the plane operations are bound by the words they
 touch rather than by the fixed cost of a batch.  ``_class_order`` decodes
 each batch once, walking each drop plane's set lanes, for the callers that
 want one class at a time: ``enumerate_plain_travels`` (the classes of the
-all-plus matrix) and the shapes of the rank-3 scan.
+all-plus matrix) and the class programs of the rank-3 scan.
 
 ``_class_of`` evaluates a single class over int-bitmask rows, for the
 witness replay (``reorientation_for_pt``, ``interior_elements``).  Each
@@ -65,25 +65,26 @@ masks of columns strictly inside a segment.
 
 Minima run on two lane kernels, and no other module reads their planes.
 A plane is an int whose bit l stands for lane l, and a per-lane number is
-a list of planes, compared by ``compare_lanes``.  Both kernels hand the
-bottom travels to one sweep, ``_sweep``, which walks them row by row over
-lane masks.
+a list of planes, compared by ``compare_lanes``.  Both walk the bottom
+travels row by row, right to left, over lane masks.
 
 * ``board_minima`` (the rank-3 board scan) runs a batch of matrices, one
   per lane, through the classes in class order.  A class's top travel is
-  the same on every lane, so the reorientation's moves are the per-lane
-  turn planes of the rows it runs along, criterion (c) is one column mask
-  per row, and each class's interior count goes into bit-sliced per-lane
-  minima, which it returns as one lane mask per value.
+  the same on every lane, so its bottom-travel sweep is a program fixed
+  by (r, n), ``_class_programs``: per row, the columns where lanes can
+  rise, each the index of one xor plane of two rows' turns, and the
+  columns where the lanes walking level are interior.  Each class's
+  interior count goes into bit-sliced per-lane minima, which it returns
+  as one lane mask per value.
 * ``_class_lanes`` (``min_interior`` and ``find_interior_set``) runs one
   matrix with a class per lane.  The entries and turns are the same on
   every lane; the drop columns and the segments are per-lane planes, the
-  moves are the rows' turns gathered over the segments, and the kernel
-  returns one plane per column of the lanes on which that column is
-  interior.  It takes the batches' drop planes as they come, in class
-  order, so ``min_interior`` can stop after the first batch with a class
-  that has no interior element, and reads its witness from that batch's
-  planes.
+  moves are the rows' turns gathered over the segments, ``_sweep`` walks
+  the bottom travels, and the kernel returns one plane per column of the
+  lanes on which that column is interior.  It takes the batches' drop
+  planes as they come, in class order, so ``min_interior`` can stop after
+  the first batch with a class that has no interior element, and reads
+  its witness from that batch's planes.
 """
 
 from __future__ import annotations
@@ -297,7 +298,6 @@ def _class_of(
 # number is a list of planes, least significant bit first.  ``board_minima``
 # runs one class at a time on a batch of matrices, lane l the l-th matrix;
 # ``_class_lanes`` runs one matrix on a batch of classes, lane l a class.
-# Both hand the bottom travels to one sweep, ``_sweep``.
 
 
 def compare_lanes(x: Sequence[int], y: Sequence[int], full: int) -> tuple[int, int]:
@@ -329,10 +329,12 @@ def _lane_counts(planes: Sequence[int], width: int) -> list[int]:
 def _sweep(
     turns: Sequence[Sequence[int]], moves: Sequence[int], record: Sequence[int], full: int
 ) -> list[int]:
-    """The bottom travels of a batch: for each 0-based column c in the
-    bitmask record[i], the lanes whose bottom travel walks level along row
-    i into column c from column c + 1, in sweep order: rows from the bottom
-    up, each right to left.
+    """The bottom travels of a batch of the class-lane kernel: for each
+    0-based column c in the bitmask record[i], the lanes whose bottom
+    travel walks level along row i into column c from column c + 1, in
+    sweep order: rows from the bottom up, each right to left.  (The board
+    kernel runs the same walk as per-class programs, ``_class_programs``,
+    in which the rows turn and record at fixed columns.)
 
     turns[i][c] holds the lanes whose row i (for i >= 1) has different
     entries in columns c and c + 1, and moves[c] those whose reorientation
@@ -373,31 +375,65 @@ def _sweep(
 
 
 @lru_cache(maxsize=16)
-def _class_shapes(
+def _class_programs(
     r: int, n: int
-) -> tuple[tuple[tuple[tuple[int, bool], ...], tuple[int, ...], bool], ...]:
-    """Per class of an r x n matrix, in class order: per 0-based column
-    c < n - 1, the row its top travel runs along through columns c and
-    c + 1 and whether it drops at c + 1; the columns ``_sweep`` records in
-    each row (those strictly inside the top travel's segment in that row
-    or the row above, and column 1 in row 1); and whether column n is
-    interior by criterion (b).  They depend only on (r, n), so each
-    rank-3 scan task reuses them."""
-    shapes = []
+) -> tuple[tuple[tuple[tuple[tuple[int, int | None, bool, bool], ...], ...], bool], ...]:
+    """Per class of an r x n matrix, in class order: the program that
+    sweeps its bottom travels for ``board_minima``, and whether column n is
+    interior by criterion (b).  They depend only on (r, n), so each rank-3
+    scan task reuses them.
+
+    A program holds, per row i = r - 1 .. 0 in sweep order, the steps
+    (c, x, recorded, entered) for 0-based columns c = n - 2 .. 0.  A step
+    moves the walking lanes from column c + 1 to column c of row i:
+
+    * x is the index in ``board_minima``'s xor planes of the lanes that
+      rise into row i - 1 there, or None where no lane rises.  Where the
+      top travel runs level along row i from c to c + 1, the reoriented row
+      is constant there, so no lane rises; where the travel drops in row i
+      at c + 1, every lane rises.  Nothing rises out of row 1.
+    * `recorded`: the lanes walking level into column c count toward the
+      interior (criteria (a) and (c), as in ``_sweep``).
+    * `entered`: the lanes that rose out of row i + 1 at c join the walk.
+
+    In the bottom row every lane walks from column n; in the rows above
+    only the lanes that rose into them.  A step that can move no walking
+    lane is left out: one before the first entry of its row, and a level
+    step that neither enters nor records.
+    """
+    programs = []
     for drops in _class_order(r, n):
-        tops = [1] + [0] * r  # column 1, where criterion (a) is read
-        steps: list[tuple[int, bool]] = []
+        # tops[i + 1]: the columns strictly inside the top travel's segment
+        # in row i; column 1 of row 1 is where criterion (a) is read
+        tops = [1] + [0] * r
+        path: list[tuple[int, int]] = []  # per column c: (row, drops at c + 1)
         a = 0
         for k, drop in enumerate(drops):
             b = drop - 1
             tops[k + 1] = ((1 << b) - 1) & (-2 << a)
-            steps += [(k, False)] * (b - 1 - a) + [(k, True)]
+            path += [(k, 0)] * (b - 1 - a) + [(k, 1)]
             a = b
         tops[len(drops) + 1] = ((1 << n) - 1) & (-2 << a)
-        steps += [(len(drops), False)] * (n - 1 - a)
-        record = tuple(tops[i] | tops[i + 1] for i in range(r))
-        shapes.append((tuple(steps), record, len(drops) == r - 1 and a < n - 1))
-    return tuple(shapes)
+        path += [(len(drops), 0)] * (n - 1 - a)
+        rows, risen = [], 0  # risen: the columns where the row below has rises
+        for i in range(r - 1, -1, -1):
+            record, live, rises, steps = tops[i] | tops[i + 1], i == r - 1, 0, []
+            for c in range(n - 2, -1, -1):
+                k, drop = path[c]
+                recorded, entered = bool(record >> c & 1), bool(risen >> c & 1)
+                if i and live and (k != i or drop):
+                    x = (((i - 1) * r + k) * 2 + drop) * (n - 1) + c
+                    # a drop in row i leaves no lane level
+                    steps.append((c, x, recorded and k != i, entered))
+                    rises |= 1 << c
+                    live = entered or k != i
+                elif entered or live and recorded:
+                    steps.append((c, None, live and recorded, entered))
+                    live = live or entered
+            rows.append(tuple(steps))
+            risen = rises
+        programs.append((tuple(rows), len(drops) == r - 1 and a < n - 1))
+    return tuple(programs)
 
 
 def board_minima(planes: Sequence[Sequence[int]], n: int, full: int) -> list[int]:
@@ -410,25 +446,52 @@ def board_minima(planes: Sequence[Sequence[int]], n: int, full: int) -> list[int
     ``min_interior``'s count of its matrix.
 
     A class's top travel is its plain travel on every lane, so the classes
-    run in class order (``_class_shapes``).  The travel runs level along
-    its row through columns c and c + 1 of the reoriented matrix, or drops
-    at c + 1, so the reorientation's moves (see ``_sweep``) are the turns
-    of that row, complemented where the travel drops: one plane per column,
-    read off the rows' turn planes.  Criterion (c) is a column mask per
-    row, the same on every lane.  Each class's interior columns go into a
-    bit-sliced count, and the count into bit-sliced running minima.  The
-    scan stops once every lane has a class with no interior element.
+    run in class order, each on its program (``_class_programs``).  Where
+    the top travel runs along row k from column c to c + 1, the reoriented
+    row i turns on the lanes where rows i and k differ in whether they
+    turn there, complemented where the travel drops at c + 1: one of the
+    xor planes, built once per call.  Each recorded level goes straight
+    into the class's bit-sliced count (weights 1 and 2 in locals, since
+    carries past them are rare), and the count into bit-sliced running
+    minima.  The scan stops once every lane has a class with no interior
+    element.
     """
-    r = len(planes)
+    r, m = len(planes), n - 1
     width = (n + 1).bit_length()
     least = [full] * width  # 2 ** width - 1 lies above every count
-    turns = [[row[c] ^ row[c + 1] for c in range(n - 1)] for row in planes]
-    for steps, record, last in _class_shapes(r, n):
-        moves = [turns[k][c] ^ full if drop else turns[k][c] for c, (k, drop) in enumerate(steps)]
-        interior = _sweep(turns, moves, record, full)
-        if last:
-            interior.append(full)
-        count = _lane_counts(interior, width)
+    turns = [[row[c] ^ row[c + 1] for c in range(m)] for row in planes]
+    # xors[(((i - 1) * r + k) * 2 + drop) * m + c], rows i >= 1
+    xors = [
+        t ^ u ^ flip
+        for row in turns[1:]
+        for other in turns
+        for flip in (0, full)
+        for t, u in zip(row, other)
+    ]
+    below, above = [0] * m, [0] * m  # the rises out of the rows in turn
+    for rows, last in _class_programs(r, n):
+        ones, twos, high = full if last else 0, 0, [0] * (width - 2)
+        here = full
+        for steps in rows:
+            for c, x, recorded, entered in steps:
+                if x is None:
+                    level = here
+                else:
+                    rise = here & xors[x]
+                    above[c] = rise
+                    level = here ^ rise
+                here = level | below[c] if entered else level
+                if recorded:
+                    carry = ones & level
+                    ones ^= level
+                    if carry:
+                        carry, twos = twos & carry, twos ^ carry
+                        bit = 0
+                        while carry:
+                            carry, high[bit] = high[bit] & carry, high[bit] ^ carry
+                            bit += 1
+            below, above, here = above, below, 0
+        count = [ones, twos, *high]
         less, _ = compare_lanes(count, least, full)
         if less:
             for bit in range(width):
@@ -530,9 +593,12 @@ def _decode_lane(drops: Sequence[int], lane: int) -> tuple[int, ...]:
 
 def _class_order(r: int, n: int) -> Iterator[tuple[int, ...]]:
     """The 1-indexed drop columns of each class of an r x n matrix, in
-    class order.  Each batch is decoded once: the set lanes of each drop
-    plane are found in its binary digits, and its column goes onto those
-    lanes' drops, so a class costs its drops and not the batch width."""
+    class order, for the callers that take one class at a time:
+    ``enumerate_plain_travels`` and the class programs of ``board_minima``
+    (``_class_programs``).  Each batch is decoded once: the set lanes of
+    each drop plane are found in its binary digits, and its column goes
+    onto those lanes' drops, so a class costs its drops and not the batch
+    width."""
     for full, drops in _drop_batches(r, n):
         lanes: list[list[int]] = [[] for _ in range(full.bit_length())]
         for c, plane in enumerate(drops, 1):
@@ -553,9 +619,9 @@ def _class_interiors(masks: Sequence[int], drops: Sequence[int], full: int) -> l
 
     The entries and turns of the matrix are the same on every lane.  The
     top travels are swept left to right: rows[j] holds the lanes whose
-    travel runs along row j at column c, after the drops there.  As in
-    ``board_minima``, the reorientation moves at column c on the lanes
-    whose row turns at c, complemented on the lanes that drop at c + 1.
+    travel runs along row j at column c, after the drops there.  The
+    reorientation moves at column c on the lanes whose row turns at c,
+    complemented on the lanes that drop at c + 1.
     Column c is strictly inside a segment on the lanes that do not drop
     at it.
     """

@@ -503,8 +503,20 @@ def test_lane_kernel_matches_reference_on_random_lanes(r):
             flipped = [list(row) for row in rows]
             flipped[i][j] = -flipped[i][j]
             batches[-1].append(SignMatrix(tuple(map(tuple, flipped))))
+    wide = []
+    if r in (3, 4):
+        # classes with 4 or more interior columns: the count's weights
+        # past 2, which the kernel keeps outside its locals
+        wide = [[random_sign_matrix(rng, r, n) for _ in range(3)] for n in range(11, 14)]
+        assert any(
+            len(interior) >= 4
+            for matrices in wide
+            for m in matrices
+            if reference_min_interior(m)[0]  # no early stop on this lane
+            for _, _, interior in reference_scan(m, True)
+        )
     seen = set()
-    for matrices in batches:
+    for matrices in batches + wide:
         n, lanes = matrices[0].n, len(matrices)
         planes = [
             [sum((m.rows[i][j] < 0) << lane for lane, m in enumerate(matrices)) for j in range(n)]
@@ -523,6 +535,34 @@ def test_lane_kernel_matches_reference_on_random_lanes(r):
             assert value == reference_min_interior(m)[0], (n, m.rows)
             seen.add(value)
     assert len(seen) >= 3  # the batches reach past the all-zero early stop
+
+
+@pytest.mark.parametrize(
+    "r, n, histogram",
+    [
+        (3, 7, [1024, 2048, 1024]),
+        (3, 8, [2048, 4096, 8192, 2048]),
+        (4, 7, [262144]),
+        (4, 8, [1966080, 131072]),
+    ],
+    ids=["r3-n7", "r3-n8", "r4-n7", "r4-n8"],
+)
+def test_board_minima_full_box_histograms(r, n, histogram):
+    # every (r - 1) x (n - 1) board in chunks of 4,096 codes, as the rank-3
+    # scan builds them (bit i * (n - 1) + j of a code is row i, column j):
+    # the number of boards at each minimum
+    from lomlab.chessboard import canonical_planes
+    from lomlab.travels import board_minima
+    from lomlab.verifier import _code_planes
+
+    width, lanes = n - 1, 1 << 12
+    total = [0] * (n + 1)
+    for start in range(0, 1 << (r - 1) * width, lanes):
+        code = _code_planes(start, start + lanes, (r - 1) * width)
+        planes = canonical_planes([code[i * width : (i + 1) * width] for i in range(r - 1)])
+        for value, at in enumerate(board_minima(planes, n, (1 << lanes) - 1)):
+            total[value] += at.bit_count()
+    assert total == histogram + [0] * (n + 1 - len(histogram))
 
 
 @pytest.mark.parametrize("lanes", [3, 4096, 1 << 16])
