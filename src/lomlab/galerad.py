@@ -586,8 +586,11 @@ def lift_unbalanced(config: PointConfig, coloring: Coloring) -> tuple[PointConfi
     Kirchberger's theorem that holds exactly when flipping the point's color
     induces no partition: general position leaves each (d+2)-subset one
     Radon partition, and the origin is in the hull of the flipped rays
-    exactly when it is in the hull of d + 2 of them.  The exact simplex then
-    runs once, on the first such point, for the separator.  Cutting the ray
+    exactly when it is in the hull of d + 2 of them.  Flipping a point
+    outside an induced subset leaves that subset induced, so only the
+    members of the first induced subset are tried, and every point when
+    the coloring induces nothing.  The exact simplex then runs once, on
+    the first such point, for the separator.  Cutting the ray
     bundle with a hyperplane parallel to the separator yields the new
     configuration, on integers: with W the separator and R_i ray i, each
     scaled by the lcm of its denominators, the cut is R_i * lcm_W / <W, R_i>,
@@ -600,7 +603,13 @@ def lift_unbalanced(config: PointConfig, coloring: Coloring) -> tuple[PointConfi
     _require_dependences(config, "to lift a coloring")
     rays = affine_projection(config, coloring)
     red = _red_bits(coloring)
-    chosen = next((i for i in range(config.n) if not _induced(config, red ^ (1 << i))), None)
+    induced, points = _induced(config, red), range(config.n)
+    if induced:
+        # members[k][-1 - j] is 1 + the k-th member of subset j
+        _, members = _subset_layout(config.n, config.dim + 2)
+        first = (induced & -induced).bit_length()  # 1 + the first induced subset
+        points = [member[-first] - 1 for member in members]
+    chosen = next((i for i in points if not _induced(config, red ^ (1 << i))), None)
     if chosen is None:
         raise LiftSeparationError(
             "no point of the signed projection is strictly separable from the rest"

@@ -77,20 +77,22 @@ travels row by row, right to left, over lane masks.
   interior count goes into bit-sliced per-lane minima, which it returns
   as one lane mask per value.
 * ``_class_lanes`` (``min_interior`` and ``find_interior_set``) runs one
-  matrix with a class per lane.  The entries and turns are the same on
-  every lane; the drop columns and the segments are per-lane planes, the
-  moves are the rows' turns gathered over the segments, ``_sweep`` walks
-  the bottom travels, and the kernel returns one plane per column of the
-  lanes on which that column is interior.  It takes the batches' drop
-  planes as they come, in class order, so ``min_interior`` can stop after
-  the first batch with a class that has no interior element, and reads
-  its witness from that batch's planes.
+  matrix with a class per lane, ``_class_interiors``.  The entries and
+  turns are the same on every lane; the drop columns and the top
+  travels' rows are per-lane planes, and the moves are the rows' turns
+  gathered over them.  One sweep walks the bottom travels and marks each
+  column interior on the lanes walking level through it whose top travel
+  is in the same row or the one above, and the kernel returns one plane
+  per column.  It takes the batches' drop planes as they come, in class
+  order, so ``min_interior`` can stop after the first batch with a class
+  that has no interior element, and reads its witness from that batch's
+  planes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -326,54 +328,6 @@ def _lane_counts(planes: Sequence[int], width: int) -> list[int]:
     return count
 
 
-def _sweep(
-    turns: Sequence[Sequence[int]], moves: Sequence[int], record: Sequence[int], full: int
-) -> list[int]:
-    """The bottom travels of a batch of the class-lane kernel: for each
-    0-based column c in the bitmask record[i], the lanes whose bottom
-    travel walks level along row i into column c from column c + 1, in
-    sweep order: rows from the bottom up, each right to left.  (The board
-    kernel runs the same walk as per-class programs, ``_class_programs``,
-    in which the rows turn and record at fixed columns.)
-
-    turns[i][c] holds the lanes whose row i (for i >= 1) has different
-    entries in columns c and c + 1, and moves[c] those whose reorientation
-    flips one of the two, so the reoriented row turns there on the lanes of
-    their xor.  The sweep runs row by row, right to left, over lane masks:
-    `here` holds the lanes walking along the row at column c, which rise
-    into the row above where the reoriented row turns and walk on
-    elsewhere.  Every class is acyclic, so no lane rises out of row 1: a
-    lane walks level from the column it enters at down to column 1, and
-    its level lanes at column 0 are criterion (a).  Criterion (c) is the
-    caller's: a middle column is interior on the lanes that walk level
-    through it in a row whose top travel segment, or the one in the row
-    above, has it strictly inside (as in ``_class_of``).
-    """
-    r, n = len(turns), len(moves) + 1
-    levels = []
-    enter = [0] * n
-    enter[-1] = full
-    # enter[c]: the lanes whose bottom travel enters the row at column c;
-    # level: those that walked level into column c from c + 1
-    for i in range(r - 1, 0, -1):
-        wanted, turn, rises = record[i], turns[i], [0] * n
-        here, level = enter[-1], 0
-        for c in range(n - 1, 0, -1):
-            if wanted >> c & 1:
-                levels.append(level)
-            rise = here & (turn[c - 1] ^ moves[c - 1])
-            rises[c - 1] = rise
-            level = here ^ rise
-            here = level | enter[c - 1] if enter[c - 1] else level
-        enter = rises
-    wanted, level = record[0], 0
-    for c in range(n - 1, -1, -1):
-        if wanted >> c & 1:
-            levels.append(level)
-        level |= enter[c]
-    return levels
-
-
 @lru_cache(maxsize=16)
 def _class_programs(
     r: int, n: int
@@ -393,7 +347,7 @@ def _class_programs(
       is constant there, so no lane rises; where the travel drops in row i
       at c + 1, every lane rises.  Nothing rises out of row 1.
     * `recorded`: the lanes walking level into column c count toward the
-      interior (criteria (a) and (c), as in ``_sweep``).
+      interior (criteria (a) and (c), as in ``_class_interiors``).
     * `entered`: the lanes that rose out of row i + 1 at c join the walk.
 
     In the bottom row every lane walks from column n; in the rows above
@@ -530,25 +484,33 @@ def _block_size(t: int, m: int) -> int:
     return sum(comb(m, j) for j in range(min(t, m) + 1))
 
 
-@cache
+# The table of ``_block``: the drop planes of block (t, m) at key (t, m).
+_BLOCKS: dict[tuple[int, int], tuple[int, ...]] = {}
+
+
 def _block(t: int, m: int) -> tuple[int, ...]:
     """The drop planes of block (t, m): bit l of planes[c] is set when the
     block's l-th class drops at the c-th of its m columns.  Built from the
     two blocks it splits into, side by side.
 
-    The planes depend only on (t, m), so one table serves every shape for
-    the life of the process.  Only ``_drop_batches`` asks for a block, and
-    only for one that fits a batch, so an entry holds at most m planes of
-    CLASS_LANES bits; the planes are a tuple, so no caller can change the
-    table.
+    The planes depend only on (t, m), so one table, ``_BLOCKS``, serves
+    every shape for the life of the process.  Only ``_drop_batches`` asks
+    for a block, and only for one that fits a batch, so an entry holds at
+    most m planes of CLASS_LANES bits; the planes are a tuple, so no
+    caller can change the table.
     """
-    if not t or not m:
-        return (0,) * m
-    if m == 1:
-        return (0b10,)  # the travel running on to column n, then the drop at n
-    head, tail = _block(t - 1, m - 1), _block(t, m - 1)
-    shift = _block_size(t - 1, m - 1)
-    return ((1 << shift) - 1,) + tuple([h | x << shift for h, x in zip(head, tail)])
+    planes = _BLOCKS.get((t, m))
+    if planes is None:
+        if not t or not m:
+            planes = (0,) * m
+        elif m == 1:
+            planes = (0b10,)  # the travel running on to column n, then the drop at n
+        else:
+            head, tail = _block(t - 1, m - 1), _block(t, m - 1)
+            shift = _block_size(t - 1, m - 1)
+            planes = ((1 << shift) - 1,) + tuple([h | x << shift for h, x in zip(head, tail)])
+        _BLOCKS[t, m] = planes
+    return planes
 
 
 def _drop_batches(r: int, n: int) -> Iterator[tuple[int, list[int]]]:
@@ -615,57 +577,84 @@ def _class_order(r: int, n: int) -> Iterator[tuple[int, ...]]:
 def _class_interiors(masks: Sequence[int], drops: Sequence[int], full: int) -> list[int]:
     """Per column, the lanes on which it is interior, for one matrix and a
     batch of classes: bit l of drops[c] is set when class l drops at
-    0-based column c.
+    column c.  Rows and columns are 0-based here.
 
-    The entries and turns of the matrix are the same on every lane.  The
-    top travels are swept left to right: rows[j] holds the lanes whose
-    travel runs along row j at column c, after the drops there.  The
-    reorientation moves at column c on the lanes whose row turns at c,
-    complemented on the lanes that drop at c + 1.
-    Column c is strictly inside a segment on the lanes that do not drop
-    at it.
+    The entries and turns of the matrix are the same on every lane, and
+    the turns are taken relative to row 0's: turns[i] bit c is set where
+    rows 0 and i differ in whether they turn at c.  The top travels are
+    swept left to right: at[c][j] holds the lanes whose travel runs along
+    row j or a lower one at column c, after the drops there (a lane is in
+    a row j <= c).  moves[c] holds the lanes whose reoriented row 0 turns
+    at c: those that drop at c + 1, flipped on the lanes whose travel runs
+    along a row that turns where row 0 does not, or the other way round.
+    The reoriented row i turns at c on moves[c], or on its complement
+    where turns[i] has bit c.
+
+    The bottom travels are then swept row by row from the bottom up, each
+    right to left: `here` holds the lanes walking along row i at column c,
+    which rise into the row above where the reoriented row turns and walk
+    on elsewhere.  Every class is acyclic, so no lane rises out of row 0:
+    a lane walks from the column it enters at down to column 0.  The lanes
+    walking level into a column have it strictly inside their bottom
+    segment, and criterion (c) marks it on those whose top travel runs
+    along row i or i - 1 there, once the lanes whose top travel drops at
+    the column are cleared; at column 0 of row 0 it is criterion (a).
+
+    No top travel of an acyclic class runs from a column to the next in a
+    lower row than its bottom travel.  Each travel changes row at most
+    once per column, so at the first place one did, both run from the
+    column before in the same row, which turns there: the top travel
+    drops and the bottom travel rises.  By the same step they run in one
+    row, on a turn, from every column before, up to row 0, where the
+    bottom travel stops at the turn: the class is cyclic.  So a lane
+    walking level along row i has its top travel in row i or above, and
+    criterion (c) is the lanes of at[c][i - 1].  Column n - 1 is
+    criterion (b).
     """
     r, n = len(masks), len(drops)
-    rows = [full] + [0] * (r - 1)
-    at = [rows]  # at[c]: rows after the drops at column c
+    turns = _turn_masks(masks)
+    turns = [turn ^ turns[0] for turn in turns]  # relative to row 0
+    down = [full] + [0] * (r - 1)
+    at, moves = [down], []
     for c in range(1, n):
-        drop = drops[c]
-        if drop:
-            rows = rows[:]
-            for j in range(r - 2, -1, -1):  # bottom up, so a lane drops once
-                moved = rows[j] & drop
-                if moved:
-                    rows[j] ^= moved
-                    rows[j + 1] |= moved
-        at.append(rows)
-    turn_masks = _turn_masks(masks)
-    moves = []
-    for c in range(n - 1):
-        move = drops[c + 1]
-        for lanes, turn in zip(at[c], turn_masks):
-            if turn >> c & 1:
-                move ^= lanes  # the rows hold disjoint lanes
+        move, turned = drops[c], 0
+        for j in range(1, min(c, r)):  # by runs of rows, as down holds them
+            if turns[j] >> c - 1 & 1 != turned:
+                move ^= down[j]
+                turned ^= 1
         moves.append(move)
-    turns = [[full if turn >> c & 1 else 0 for c in range(n - 1)] for turn in turn_masks]
-    # every column but n, in the sweep's order: rows from the bottom up,
-    # columns n - 1 down to 2 (and to 1 in row 1)
-    levels = _sweep(turns, moves, [(1 << n - 1) - 1] * r, full)
-    cols = [0] * n
+        if drops[c]:
+            down = down[:]
+            for j in range(min(c, r - 1) - 1, -1, -1):  # bottom up, so a lane drops once
+                down[j + 1] |= down[j] & drops[c] if j else drops[c]
+        at.append(down)
+    cols, enter = [0] * n, [0] * n  # enter[c]: the lanes entering the row at c
+    enter[-1] = full
+    for i in range(r - 1, 0, -1):
+        turn, rises, here = turns[i], [0] * n, 0
+        for c in range(n - 1, 0, -1):
+            if enter[c]:
+                here |= enter[c]
+            elif not here:
+                continue
+            if turn >> c - 1 & 1:
+                level = here & moves[c - 1]
+                rise = here ^ level
+            else:
+                rise = here & moves[c - 1]
+                level = here ^ rise
+            rises[c - 1], here = rise, level
+            if c > 1 and here and at[c - 1][i - 1]:
+                cols[c - 1] |= here & at[c - 1][i - 1]
+        enter = rises
+    here = 0
+    for c in range(n - 1, 0, -1):
+        here |= enter[c]
+        cols[c - 1] |= here
     for c in range(1, n - 1):
-        # a top travel in row j has column c inside its segment unless it
-        # drops there; bottom rows j and j + 1 walk level along it
-        interior, below = 0, levels[(r - 1) * (n - 2) + n - 2 - c]
-        for j, lanes in enumerate(at[c]):
-            here = levels[(r - 2 - j) * (n - 2) + n - 2 - c] if j + 1 < r else 0
-            if lanes and (below or here):
-                interior |= lanes & (below | here)
-            below = here
-        cols[c] = interior ^ (interior & drops[c])
+        cols[c] ^= cols[c] & drops[c]
     if n > 1:
-        cols[0] = levels[r * (n - 2)]
-        # column n is interior where the travel runs along row r through
-        # columns n - 1 and n
-        cols[-1] = at[-1][-1] ^ (at[-1][-1] & drops[-1])
+        cols[-1] = at[-1][r - 1] ^ (at[-1][r - 1] & drops[-1])
     return cols
 
 

@@ -273,8 +273,9 @@ def reproduce_counterexample(which: str) -> VerificationReport:
 RANK3_MAX_N = 14
 # Codes per rank-3 scan task, whatever the worker count: a task's result
 # depends only on its code range, so the report does not depend on
-# --workers.  Each task is one batch of the lane kernel.
-CHUNK_CODES = 1 << 12
+# --workers.  Each task is one batch of the lane kernel; at 2 ** 16 lanes
+# its plane operations, not its Python steps, bound the cost.
+CHUNK_CODES = 1 << 16
 
 
 def check_rank3_n(n: int) -> None:

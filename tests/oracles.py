@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from lomlab.chessboard import Chessboard, board_of, corners_for
-from lomlab.galerad import BLUE, RED, Coloring, PointConfig, gale_transform
+from lomlab.galerad import BLUE, RED, Coloring, PointConfig, count_induced, gale_transform
 from lomlab.sign_matrix import SignMatrix
 from lomlab.travels import Travel, bottom_travel, min_interior, top_travel
 
@@ -729,6 +729,18 @@ def reference_separating_functional(vectors, index):
     if solution is None:
         return None
     return [solution[j] - solution[dim + j] for j in range(dim)]
+
+
+def reference_lift_choice(config: PointConfig, coloring: Coloring) -> int | None:
+    """The point that lomlab.galerad.lift_unbalanced makes the single red
+    one, 1-indexed, found by trying every point in turn: the first whose
+    color flip leaves the coloring inducing no partition, or None when no
+    point's does."""
+    labels, swap = coloring.labels, {RED: BLUE, BLUE: RED}
+    for i in range(config.n):
+        if not count_induced(config, Coloring(labels[:i] + (swap[labels[i]],) + labels[i + 1 :])):
+            return i + 1
+    return None
 
 
 def reference_lift_points(config: PointConfig, coloring: Coloring):

@@ -38,6 +38,7 @@ from oracles import (
     reference_dependent_subset,
     reference_det as _det,
     reference_gale_transform,
+    reference_lift_choice,
     reference_lift_points,
     reference_max_r,
     reference_max_r_sampled,
@@ -803,6 +804,38 @@ def test_lift_chooses_the_first_point_whose_flip_induces_nothing():
             several += len(qualifying) > 1
             none += not qualifying
     assert several >= 5 and none >= 3
+
+
+def test_lift_tries_only_the_members_of_the_first_induced_subset(monkeypatch):
+    # flipping a point outside an induced subset leaves it induced, so the
+    # lift tries only that subset's d + 2 members and picks the point the
+    # scan over every point picks: 300 seeded configurations, d 1-4 and
+    # n up to 10, with random and maximizing colorings
+    calls = []
+    induced = galerad._induced
+    monkeypatch.setattr(galerad, "_induced", lambda *args: calls.append(args) or induced(*args))
+    rng = random.Random(2702)
+    lifted = refused = 0
+    for case in range(300):
+        d = rng.randint(1, 4)
+        config = random_point_config(rng.randint(d + 2, 10), d, seed=rng.randint(0, 10**6))
+        if case % 2:
+            coloring = max_r(config)[1]
+        else:
+            coloring = Coloring(tuple(rng.choice((RED, BLUE)) for _ in range(config.n)))
+        expected = reference_lift_choice(config, coloring)
+        induces = count_induced(config, coloring)
+        calls.clear()
+        if expected is None:
+            with pytest.raises(LiftSeparationError):
+                lift_unbalanced(config, coloring)
+            refused += 1
+        else:
+            assert lift_unbalanced(config, coloring)[1].red == {expected}, (config, coloring)
+            lifted += 1
+        if induces:  # one count, then at most d + 2 flips
+            assert len(calls) <= d + 3, (config, coloring)
+    assert lifted >= 50 and refused >= 50
 
 
 def test_lift_runs_the_simplex_only_on_the_chosen_point(monkeypatch):

@@ -4,8 +4,10 @@ The first test installs it on the program as it is and removes it again.
 The next two run the benchmark's jobs and check their report blocks
 against golden.json: the radon jobs on every pool entry, where a benchmark
 run checks only the entry its seed picks, and the verify jobs of the
-rank3-scan and families workloads.  The last solves the pool's separator
-programs against the Fraction simplex."""
+rank3-scan and families workloads.  The last two check the point that
+lift picks on both colorings of every pool entry against the scan over
+every point, and solve the pool's separator programs against the Fraction
+simplex."""
 
 import contextlib
 import importlib.util
@@ -13,10 +15,12 @@ import io
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 from lomlab import cli, exactlp, galerad, travels, verifier
 from lomlab.chessboard import canonical_matrix, corners_for
 
-from oracles import reference_separating_functional
+from oracles import reference_lift_choice, reference_separating_functional
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -95,6 +99,29 @@ def test_verify_jobs_match_golden(tmp_path, monkeypatch):
                 failed.append(" ".join(job["argv"]))
     assert not failed, failed
     assert ran == 9
+
+
+def test_lift_matches_the_scan_over_every_point_on_the_pool(tmp_path):
+    # the maximizing coloring of every entry lifts nowhere and the lifting
+    # coloring lifts; either way the lift picks the scan's point
+    inputs = _load("inputs")
+    golden = inputs.load_golden()
+    lifted = 0
+    for seed in range(inputs.RADON_POOL):
+        inputs.write_inputs("radon", seed, tmp_path)
+        for d, n in inputs.RADON_SHAPES:
+            config = galerad.PointConfig.from_text((tmp_path / inputs.points_name(d, n)).read_text())
+            entry = golden["radon"][f"d{d}-n{n}"][seed]
+            for name in ("witness", "lifting"):
+                coloring = galerad.Coloring.from_string(entry[name])
+                expected = reference_lift_choice(config, coloring)
+                if expected is None:
+                    with pytest.raises(galerad.LiftSeparationError):
+                        galerad.lift_unbalanced(config, coloring)
+                else:
+                    assert galerad.lift_unbalanced(config, coloring)[1].red == {expected}
+                    lifted += 1
+    assert lifted == 2 * inputs.RADON_POOL
 
 
 def test_separating_functional_matches_reference_on_pool_programs(tmp_path, monkeypatch):

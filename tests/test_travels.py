@@ -124,6 +124,29 @@ def test_acyclicity_criteria_agree_exhaustively():
             assert is_acyclic(a) == tt_acyclic == bt_acyclic
 
 
+def _gap_rows(segments):
+    """{j: the row in which the walk runs from column j to j + 1}."""
+    return {j: row for row, a, b in segments for j in range(min(a, b), max(a, b))}
+
+
+def test_top_travel_never_runs_below_the_bottom_travel():
+    # on an acyclic matrix the top travel runs from column j to j + 1 in a
+    # row no lower than the bottom travel does, which the class-lane
+    # kernel reads criterion (c) by: the reference walks of every acyclic
+    # 2 x 6 and 3 x 4 matrix and of random acyclic ones up to 8 x 16
+    rng = random.Random(2703)
+    matrices = [a for r, n in ((2, 6), (3, 4)) for a in all_sign_matrices(r, n) if is_acyclic(a)]
+    for r in range(2, 9):
+        for _ in range(100):
+            a = random_sign_matrix(rng, r, rng.randint(r, 16))
+            drops = sorted(rng.sample(range(2, a.n + 1), rng.randint(0, min(r - 1, a.n - 1))))
+            matrices.append(reorient(a, reorientation_for_pt(a, plain_travel(r, a.n, drops))))
+    for a in matrices:
+        tops, bottoms = _gap_rows(_top_segments(a.rows)), _gap_rows(_bottom_segments(a.rows))
+        assert len(tops) == len(bottoms) == a.n - 1
+        assert all(tops[j] <= bottoms[j] for j in tops), a.rows
+
+
 def test_acyclicity_matches_circuit_oracle():
     rng = random.Random(19)
     for _ in range(150):
@@ -596,6 +619,42 @@ def test_find_interior_set_matches_reference_scan(monkeypatch, lanes):
                     find_interior_set(matrix, bad)
 
 
+def _long_level_matrix(rng, r, n):
+    """A random r x n matrix whose rows are constant from column 3 on, so
+    most bottom travels walk level along the lower rows, and the rows
+    above stay empty, for many columns."""
+    rows = random_sign_matrix(rng, r, n).rows
+    return SignMatrix(tuple(row[:3] + row[2:3] * (n - 3) for row in rows))
+
+
+def test_class_lanes_match_reference_scan_on_every_lane(monkeypatch):
+    # each lane's interior set, read off _class_interiors' column planes,
+    # is the reference scan's set for that class, at every batch width:
+    # seeded random matrices of every rank 1..7 and width r..12, the
+    # all-plus matrix, and matrices whose rows turn only near column 1
+    from lomlab import travels
+
+    rng = random.Random(2701)
+    matrices = [SignMatrix.constant(r, 12) for r in range(1, 8)]
+    for r in range(1, 8):
+        for n in range(r, 13):
+            matrices += [random_sign_matrix(rng, r, n), _long_level_matrix(rng, r, n)]
+    expect = [
+        [(drops, interior) for drops, _, interior in reference_scan(matrix, True)]
+        for matrix in matrices
+    ]
+    for lanes in (1, 3, 64, travels.CLASS_LANES):
+        monkeypatch.setattr(travels, "CLASS_LANES", lanes)
+        for matrix, classes in zip(matrices, expect):
+            got = []
+            for full, drops, cols in travels._class_lanes(matrix):
+                assert len(cols) == matrix.n and not any(c & ~full for c in cols)
+                for lane in range(full.bit_length()):
+                    interior = frozenset(c + 1 for c, plane in enumerate(cols) if plane >> lane & 1)
+                    got.append((travels._decode_lane(drops, lane), interior))
+            assert got == classes, (lanes, matrix.rows)
+
+
 def test_lane_counts_match_per_lane_sums():
     from lomlab.travels import _lane_counts
 
@@ -664,26 +723,24 @@ def test_min_interior_memory_stays_within_a_batch_bound():
 
 
 def test_block_table_retains_a_bounded_size():
-    # the table keeps every block the even-d r = 9, t = 5 matrix (9 x 35,
-    # 25,211,936 classes) scans, after the call: 2,422,736 bytes (219
-    # blocks) when measured, and the bound is about 1.5 times that
-    import gc
-    import tracemalloc
+    # the table keeps every block that the batches of the even-d r = 9,
+    # t = 5 matrix (9 x 35, 25,211,936 classes) ask for, after the scan:
+    # 2,400,768 bytes of planes and tuples (219 blocks) when measured,
+    # and the bound is about 1.5 times that
+    import sys
 
     from lomlab import travels
-    from lomlab.chessboard import canonical_matrix, corners_for
+    from lomlab.chessboard import corners_for
 
-    matrix = canonical_matrix(corners_for("even-d", 9, 5))
-    travels._block.cache_clear()
-    gc.collect()
-    tracemalloc.start()
-    try:
-        min_interior(matrix)
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert travels._block.cache_info().currsize and retained < 3.5 * 2**20, retained
+    board = corners_for("even-d", 9, 5)
+    r, n = board.matrix_rows, board.matrix_cols
+    travels._BLOCKS.clear()
+    widths = sum(full.bit_length() for full, _ in travels._drop_batches(r, n))
+    assert (r, n) == (9, 35) and widths == count_plain_travels(r, n) + 1 == 25_211_936
+    planes = {id(p): p for block in travels._BLOCKS.values() for p in block}
+    retained = sum(map(sys.getsizeof, planes.values()))
+    retained += sum(map(sys.getsizeof, travels._BLOCKS.values()))
+    assert travels._BLOCKS and retained < 3.5 * 2**20, retained
 
 
 @pytest.mark.parametrize("lanes", [1, 3, 1 << 16])
@@ -696,9 +753,9 @@ def test_block_table_shared_across_shapes_changes_no_batch(monkeypatch, lanes):
     shapes = [(r, n) for r in range(1, 8) for n in range(1, 13)]
     cold = {}
     for r, n in shapes:
-        travels._block.cache_clear()
+        travels._BLOCKS.clear()
         cold[r, n] = list(travels._drop_batches(r, n))
-    travels._block.cache_clear()
+    travels._BLOCKS.clear()
     list(travels._drop_batches(7, 12))
     for r, n in shapes:
         assert list(travels._drop_batches(r, n)) == cold[r, n], (lanes, r, n)

@@ -281,7 +281,9 @@ def test_search_exhaustive_rank3_runs_the_pruned_chunk_tasks(monkeypatch, serial
     from lomlab import verifier
     from oracles import reference_board_from_code, reference_board_minimum
 
-    # n = 8 is 4 tasks, so the search starts a pool of the available CPUs
+    # n = 8 in tasks of 4,096 codes is 4 tasks, so the search starts a pool
+    # of the available CPUs
+    monkeypatch.setattr(verifier, "CHUNK_CODES", 1 << 12)
     monkeypatch.setattr(verifier.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     tasks = []
     scan_chunk = verifier._scan_chunk
@@ -420,7 +422,7 @@ def test_scan_chunk_edges_match_public_path(n):
 @pytest.mark.slow
 def test_rank3_scan_n14_pruned_agrees_with_unpruned():
     # the evidence for RANK3_MAX_N = 14: both full n = 14 scans pass and
-    # agree (minutes with two workers; deselected from the default run)
+    # agree (about 7 s with two workers; deselected from the default run)
     full = exhaustive_rank3_scan(14, workers=2)
     pruned = exhaustive_rank3_scan(14, symmetry_prune=True, workers=2)
     assert full.passed and pruned.passed
