@@ -40,7 +40,7 @@ _EXPORTS = {
         "max_r_sampled",
         "random_point_config",
     ),
-    "sign_matrix": ("SignMatrix", "chirotope", "reorient"),
+    "sign_matrix": ("SignMatrix", "reorient"),
     "travels": (
         "CyclicMatroidError",
         "Travel",
@@ -53,7 +53,6 @@ _EXPORTS = {
         "plain_travel",
         "reorientation_for_pt",
         "top_travel",
-        "trivial_travel",
     ),
     "verifier": (
         "VerificationReport",

@@ -93,28 +93,9 @@ class Chessboard:
     def matrix_cols(self) -> int:
         return self.cols + 1
 
-    def is_black(self, i: int, j: int) -> bool:
-        """Square s(i, j), 1-indexed."""
-        if not (1 <= i <= self.rows and 1 <= j <= self.cols):
-            raise IndexError(f"square ({i},{j}) outside {self.rows}x{self.cols} board")
-        return self.black[i - 1][j - 1]
-
-    def corner_column(self, m: int) -> int:
-        if self.corners is None:
-            raise ValueError("board carries no corner function")
-        if not (1 <= m <= self.matrix_rows):
-            raise IndexError(f"corner index {m} outside [1, {self.matrix_rows}]")
-        return self.corners[m - 1]
-
     @classmethod
     def all_white(cls, r: int, n: int) -> "Chessboard":
         return cls(tuple((False,) * (n - 1) for _ in range(r - 1)))
-
-    def mirror_lr(self) -> "Chessboard":
-        return Chessboard(tuple(tuple(reversed(row)) for row in self.black))
-
-    def flip_tb(self) -> "Chessboard":
-        return Chessboard(tuple(reversed(self.black)))
 
     def to_text(self) -> str:
         lines = [f"{self.matrix_rows} {self.matrix_cols}"]

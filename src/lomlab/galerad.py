@@ -238,14 +238,6 @@ class PointConfig:
         return len(self.points)
 
     @cached_property
-    def chirotope(self) -> dict[int, int]:
-        """(d+1)-subset bitmask (bit i - 1 for point i) -> sign (+1 or -1)
-        of det[(1, x_i)] over its points."""
-        # a subset's mask is the sum of its combinations tuple of unit bits
-        masks = map(sum, combinations([1 << i for i in range(self.n)], self.dim + 1))
-        return {mask: 1 if sign == "1" else -1 for mask, sign in zip(masks, self.signs)}
-
-    @cached_property
     def pos(self) -> list[int]:
         """Per rank r, bit j set when the r-th member s_r of (d+2)-subset j,
         in combinations order, is on the pos side of its minimal Radon

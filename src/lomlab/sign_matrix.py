@@ -3,7 +3,9 @@
 A Lawrence oriented matroid of rank r on the ordered ground set {1, ..., n}
 is described by an r x n matrix with entries in {+1, -1}.  The chirotope of
 the matroid evaluates a weakly increasing column tuple (j_1 <= ... <= j_r)
-to the product of one entry per row, a[1][j_1] * ... * a[r][j_r].
+to the product of one entry per row, a[1][j_1] * ... * a[r][j_r].  The
+travels answer every question the package asks of it, so it is never
+evaluated here.
 
 Rows and columns are 1-indexed in the public API; ground-set elements are
 identified with column indices.  Matrices are immutable values, so they can
@@ -14,10 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
-
-# A basis is a weakly increasing r-tuple of column indices.
-Basis = Sequence[int]
+from typing import Iterable
 
 
 class MatrixFormatError(ValueError):
@@ -102,28 +101,6 @@ class SignMatrix:
             return cls(tuple(rows))
         except ValueError as exc:
             raise MatrixFormatError(str(exc)) from exc
-
-
-def chirotope(matrix: SignMatrix, basis: Basis) -> int:
-    """Chirotope value of a weakly increasing column tuple.
-
-    Returns the product a[1][j_1] * ... * a[r][j_r].  The tuple must have
-    exactly r entries, be weakly increasing and stay within [1, n].  Entries
-    are never zero, so the result is always +1 or -1.
-    """
-    cols = tuple(basis)
-    if len(cols) != matrix.r:
-        raise ValueError(f"basis must have {matrix.r} entries, got {len(cols)}")
-    prev = 1
-    product = 1
-    for i, j in enumerate(cols, start=1):
-        if not (1 <= j <= matrix.n):
-            raise ValueError(f"column {j} outside [1, {matrix.n}]")
-        if j < prev:
-            raise ValueError(f"basis {cols} is not weakly increasing")
-        prev = j
-        product *= matrix.rows[i - 1][j - 1]
-    return product
 
 
 # Per byte value, the signs of its eight columns, least significant bit first.

@@ -63,10 +63,13 @@ travel is walked, one ``int.bit_length`` step per segment on the rows'
 turn masks, and criterion (c) becomes one AND per row of the two travels'
 masks of columns strictly inside a segment.
 
-Minima run on two lane kernels, and no other module reads their planes.
-A plane is an int whose bit l stands for lane l, and a per-lane number is
-a list of planes, compared by ``compare_lanes``.  Both walk the bottom
-travels row by row, right to left, over lane masks.
+Minima run on two lane kernels.  A plane is an int whose bit l stands for
+lane l, and a per-lane number is a list of planes, compared by
+``compare_lanes``.  Both walk the bottom travels row by row, right to
+left, over lane masks.  This module owns the class and matrix planes;
+``chessboard.canonical_planes`` builds the board kernel's entry planes,
+``verifier`` builds the rank-3 scan's code planes and reads the minima
+masks, and ``galerad`` keeps its own coloring lanes.
 
 * ``board_minima`` (the rank-3 board scan) runs a batch of matrices, one
   per lane, through the classes in class order.  A class's top travel is
@@ -742,12 +745,6 @@ def plain_travel(r: int, n: int, drops: Sequence[int]) -> Travel:
     return Travel(PLAIN, _segments(drops, n))
 
 
-def trivial_travel(r: int, n: int) -> Travel:
-    """The degenerate one-segment walk along row 1, the shape of the top
-    travel of any matrix whose first row is constant."""
-    return plain_travel(r, n, ())
-
-
 def enumerate_plain_travels(r: int, n: int, include_trivial: bool = False) -> Iterator[Travel]:
     """Stream every plain travel for an r x n matrix exactly once.
 
@@ -763,8 +760,9 @@ def enumerate_plain_travels(r: int, n: int, include_trivial: bool = False) -> It
 
 
 def count_plain_travels(r: int, n: int) -> int:
-    """Number of plain travels, sum of C(n-1, k) for k = 1 .. r-1."""
-    return sum(comb(n - 1, k) for k in range(1, min(r - 1, n - 1) + 1))
+    """Number of plain travels, sum of C(n-1, k) for k = 1 .. r-1: every
+    class but the one-segment shape's."""
+    return _block_size(r - 1, n - 1) - 1
 
 
 def _travel_drops(matrix: SignMatrix, travel: Travel) -> tuple[int, ...]:

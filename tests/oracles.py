@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 
 from lomlab.chessboard import Chessboard, board_of, corners_for
@@ -38,7 +38,9 @@ from lomlab.travels import Travel, bottom_travel, min_interior, top_travel
 
 
 def chirotope_direct(matrix: SignMatrix, basis) -> int:
-    """Second, independent evaluation of the defining product."""
+    """The Lawrence chirotope of a weakly increasing column tuple, the
+    product a[1][j_1] * ... * a[r][j_r]; lomlab computes it nowhere, since
+    the travels decide acyclicity and interiors without it."""
     product = 1
     row = 0
     for col in basis:
@@ -60,16 +62,6 @@ def circuit_signs(chi, r: int, ground: int):
             rest = tuple(x for x in support if x != e)
             signs[e] = (-1) ** k * chi(rest)
         yield support, signs
-
-
-def matrix_chi(matrix: SignMatrix):
-    def chi(basis):
-        product = 1
-        for i, j in enumerate(basis):
-            product *= matrix.rows[i][j - 1]
-        return product
-
-    return chi
 
 
 def config_chi(config: PointConfig):
@@ -100,11 +92,11 @@ def oracle_interior(chi, r: int, ground: int) -> frozenset[int]:
 
 
 def matrix_is_acyclic(matrix: SignMatrix) -> bool:
-    return oracle_is_acyclic(matrix_chi(matrix), matrix.r, matrix.n)
+    return oracle_is_acyclic(partial(chirotope_direct, matrix), matrix.r, matrix.n)
 
 
 def matrix_interior(matrix: SignMatrix) -> frozenset[int]:
-    return oracle_interior(matrix_chi(matrix), matrix.r, matrix.n)
+    return oracle_interior(partial(chirotope_direct, matrix), matrix.r, matrix.n)
 
 
 def config_acyclic_reorientation_classes(config: PointConfig):

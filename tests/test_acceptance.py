@@ -152,13 +152,13 @@ def test_criterion_08_rank2_interior_counts():
 def test_criterion_09_travel_circuit_oracle_equivalence():
     start = time.perf_counter()
     rng = random.Random(20250811)
-    from lomlab.travels import enumerate_plain_travels, trivial_travel
+    from lomlab.travels import enumerate_plain_travels, plain_travel
 
     bad = []
     for _ in range(200):
         n = rng.randint(3, 6)
         matrix = random_sign_matrix(rng, 3, n)
-        shapes = [trivial_travel(3, n)] + list(enumerate_plain_travels(3, n))
+        shapes = [plain_travel(3, n, ())] + list(enumerate_plain_travels(3, n))
         pt = rng.choice(shapes)
         acyclic = reorient(matrix, reorientation_for_pt(matrix, pt))
         assert is_acyclic(acyclic)

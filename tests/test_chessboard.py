@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +17,13 @@ from lomlab.chessboard import (
 from lomlab.sign_matrix import SignMatrix, reorient
 from lomlab.travels import min_interior
 
-from oracles import parallel_rule_check, random_sign_matrix, reference_canonical_matrix
+from oracles import (
+    parallel_rule_check,
+    random_sign_matrix,
+    reference_board_from_code,
+    reference_canonical_matrix,
+    reference_code_transforms,
+)
 
 
 def all_sequences(r, n):
@@ -88,7 +94,7 @@ def test_sequence_annotation_must_draw_the_board():
 
 def test_realize_sequence_unrolled_example():
     board = board_of(realize_sequence(4, 8, (2, 3, 2)))
-    blacks = {(i, j) for i in range(1, 4) for j in range(1, 8) if board.is_black(i, j)}
+    blacks = {(i, j) for i, row in enumerate(board.black, 1) for j, v in enumerate(row, 1) if v}
     assert blacks == {(1, 1), (1, 2), (2, 3), (2, 4), (2, 5), (3, 6), (3, 7)}
 
 
@@ -158,7 +164,7 @@ def test_corners_t1_r5():
     board = corners_for("t1", 5, 1)
     assert board.matrix_cols == 12
     assert board.sequence == (2, 4, 2, 3)
-    assert board.corner_column(5) == 12
+    assert board.corners[4] == 12  # h(5)
 
 
 def test_corners_dim2_t0():
@@ -166,8 +172,7 @@ def test_corners_dim2_t0():
     assert board.matrix_cols == 6
     assert board.sequence == (2, 3)
     # one black square in every column
-    for j in range(1, board.cols + 1):
-        assert sum(board.is_black(i, j) for i in (1, 2)) == 1
+    assert all(sum(column) == 1 for column in zip(*board.black))
 
 
 def test_every_construction_is_one_black_per_column():
@@ -180,8 +185,7 @@ def test_every_construction_is_one_black_per_column():
     ]
     for theorem, r, t in cases:
         board = corners_for(theorem, r, t)
-        for j in range(1, board.cols + 1):
-            assert sum(board.is_black(i, j) for i in range(1, board.rows + 1)) == 1
+        assert all(sum(column) == 1 for column in zip(*board.black)), theorem
 
 
 def test_corner_windows_validated():
@@ -278,6 +282,14 @@ def test_board_text_round_trip():
 
 
 def test_board_flips():
+    # the mirror and flip images of the reference code transforms, which the
+    # symmetry tests read, on a hand-worked board
     board = board_from_sequence(3, 6, (2, 3))
-    assert board.mirror_lr().black == ((False, False, False, True, True), (True, True, True, False, False))
-    assert board.flip_tb().black == (board.black[1], board.black[0])
+    code = sum(bit << k for k, bit in enumerate(chain(*board.black)))
+    same, lr, tb, both = (
+        reference_board_from_code(6, image).black for image in reference_code_transforms(6, code)
+    )
+    assert same == board.black
+    assert lr == ((False, False, False, True, True), (True, True, True, False, False))
+    assert tb == (board.black[1], board.black[0])
+    assert both == (lr[1], lr[0])

@@ -118,3 +118,54 @@ def test_no_module_has_an_unused_import():
                     and "# noqa: F401" not in lines[alias.lineno - 1]
                 ]
     assert not unused, unused
+
+
+def _quick_start() -> str:
+    """The python block under the README's "Library quick start" heading."""
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library quick start\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_every_export_has_a_reader():
+    # an exported name that nothing reads, apart from its own definition,
+    # is a second copy of a fact or dead code; a reader is a name or an
+    # attribute in src/, perfbench/ or bench/, or in the README quick start
+    import ast
+    from pathlib import Path
+
+    def read(node):
+        return {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        }
+
+    root = Path(__file__).resolve().parent.parent
+    statements = [  # (module file, name the statement defines, names it reads)
+        (path, getattr(stmt, "name", None), read(stmt))
+        for pattern in ("src/lomlab/*.py", "perfbench/*.py", "bench/*.py")
+        for path in sorted(root.glob(pattern))
+        for stmt in ast.parse(path.read_text()).body
+    ]
+    quick_start = read(ast.parse(_quick_start()))
+    unread = [
+        f"{module}.{name}"
+        for module, names in lomlab._EXPORTS.items()
+        for name in names
+        if name not in quick_start
+        and not any(
+            name in names_read and (path, defined) != (root / "src/lomlab" / f"{module}.py", name)
+            for path, defined, names_read in statements
+        )
+    ]
+    assert not unread, unread
+
+
+def test_readme_quick_start_prints_its_documented_values(capsys):
+    namespace = {}
+    exec(_quick_start(), namespace)
+    assert capsys.readouterr().out == "2 1:1-2;2:2-6;3:6-8;4:8-9\n"
+    assert (namespace["value"], namespace["coloring"].to_string()) == (5, "RBRBR")

@@ -21,7 +21,6 @@ from lomlab.travels import (
     plain_travel,
     reorientation_for_pt,
     top_travel,
-    trivial_travel,
 )
 
 from oracles import (
@@ -41,7 +40,7 @@ from oracles import (
 def random_acyclic(rng, r, n):
     """Random matrix pushed into a random acyclic reorientation class."""
     a = random_sign_matrix(rng, r, n)
-    shapes = [trivial_travel(r, n)] + list(enumerate_plain_travels(r, n))
+    shapes = [plain_travel(r, n, ())] + list(enumerate_plain_travels(r, n))
     pt = rng.choice(shapes)
     return reorient(a, reorientation_for_pt(a, pt))
 
@@ -343,7 +342,7 @@ def test_min_interior_is_order_independent():
 
     a = realize_sequence(4, 9, (2, 4, 2))
     count, witness = min_interior(a)
-    shapes = [trivial_travel(4, 9)] + list(enumerate_plain_travels(4, 9))
+    shapes = [plain_travel(4, 9, ())] + list(enumerate_plain_travels(4, 9))
     best = min(
         (len(interior_elements(reorient(a, reorientation_for_pt(a, pt)))), pt.breakpoints)
         for pt in reversed(shapes)

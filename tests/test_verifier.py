@@ -204,11 +204,14 @@ def test_board_minimum_invariant_under_mirror_and_flip():
     from lomlab.travels import min_interior
     from lomlab.verifier import _board_from_code
 
+    from oracles import reference_code_transforms
+
     for code in range(1 << 8):  # every 2 x 4 board
-        board = _board_from_code(5, code)
-        value = min_interior(canonical_matrix(board))[0]
-        for variant in (board.mirror_lr(), board.flip_tb(), board.mirror_lr().flip_tb()):
-            assert min_interior(canonical_matrix(variant))[0] == value
+        value, *images = (
+            min_interior(canonical_matrix(_board_from_code(5, image)))[0]
+            for image in reference_code_transforms(5, code)
+        )
+        assert images == [value] * 3, code
 
 
 def test_rank3_scan_symmetry_prune_matches_full_scan():
