@@ -12,15 +12,18 @@ after scaling each point by the lcm of its denominators (a positive scale,
 which keeps every sign), as the fields of one packed int: each row, from
 the last up, extends the packed minors of the rows below by one first-row
 expansion, and one subtraction reads every sign off a field's top bit and
-finds the first zero minor.  A layout that depends only on (n, d + 2),
-built once per shape by C-level maps, lets every per-subset question be a
-few operations on masks with one bit per (d+2)-subset: per rank r, an
-itemgetter reads the sign of every subset minus its r-th member out of the
-string, so one int() gives the mask of subsets whose r-th member is on the
-pos side, and a byte string of every subset's r-th member, translated
-through a per-point table, gives the mask of subsets whose r-th member is
-red.  The pivotal facts used
-here, each covered by tests against independent oracles:
+finds the first zero minor.  The expansion's terms, per column subset,
+depend on the width d + 1 alone, so they form a program built once per
+width and kept in a small table, which lift_unbalanced's lifted
+configuration, of the same width, reuses.  A layout that depends only on
+(n, d + 2), built once per shape by C-level maps, lets every per-subset
+question be a few operations on masks with one bit per (d+2)-subset: per
+rank r, an itemgetter reads the sign of every subset minus its r-th member
+out of the string, so one int() gives the mask of subsets whose r-th
+member is on the pos side, and a byte string of every subset's r-th
+member, translated through a per-point table, gives the mask of subsets
+whose r-th member is red.  The pivotal facts used here, each covered by
+tests against independent oracles:
 
   * a set of d + 2 points in general position has exactly one minimal Radon
     partition, read off the sign classes of its unique affine dependence,
@@ -86,6 +89,21 @@ class PointFormatError(ValueError):
     """Malformed point or coloring text."""
 
 
+@lru_cache(maxsize=4)
+def _expansion_program(width: int) -> list[list[tuple[int, tuple[tuple[int, int], ...]]]]:
+    """Per size k, (C, terms) for each mask C of k of the width columns:
+    the first-row expansion of a minor on the columns in C, as terms
+    (a, b) that multiply entry a of the row followed by its negation by
+    minors[b], b being C less one column.  It depends on the width alone,
+    so it is built once per width."""
+    levels: list[list] = [[] for _ in range(width + 1)]
+    for mask in range(1, 1 << width):
+        cols = [c for c in range(width) if mask >> c & 1]
+        terms = tuple((c + width * (t & 1), mask ^ 1 << c) for t, c in enumerate(cols))
+        levels[len(cols)].append((mask, terms))
+    return levels
+
+
 def _packed_minors(rows: list[list[int]]) -> tuple[int, int, int]:
     """(packed, F, ones): the determinant of every width-subset of the
     integer rows, width the row length, as F-bit fields of one int: field j
@@ -96,27 +114,24 @@ def _packed_minors(rows: list[list[int]]) -> tuple[int, int, int]:
     mask C of every k-subset of the rows below, lowest field first.  Those
     that start at row i come first, so minors[C] moves up C(n - i - 1, k - 1)
     fields and the expansion along row i, sum_t (-1)^t row_i[C_t]
-    minors[C minus C_t], fills the gap for all of them at once.  A mask is
-    kept while at least k rows lie at or below i and width - k above.
-    Hadamard's bound, which Sylvester-Hadamard rows reach, caps every minor
-    at isqrt(S^width) < 2^(F - 1), S the largest squared row norm.
+    minors[C minus C_t], fills the gap for all of them at once; the terms
+    come from the width's _expansion_program.  A mask is kept while at
+    least k rows lie at or below i and width - k above.  Hadamard's bound,
+    which Sylvester-Hadamard rows reach, caps every minor at
+    isqrt(S^width) < 2^(F - 1), S the largest squared row norm.
     """
     n, width = len(rows), len(rows[0])
     bits = isqrt(max(sum(v * v for v in row) for row in rows) ** width).bit_length() + 1
-    # per size k, (C, terms) per mask C of k columns: term (a, b) multiplies
-    # entry a of the row and then its negation by minors[b], C less a column
-    levels: list[list[tuple[int, list[tuple[int, int]]]]] = [[] for _ in range(width + 1)]
-    for mask in range(1, 1 << width):
-        cols = [c for c in range(width) if mask >> c & 1]
-        terms = [(c + width * (t & 1), mask ^ 1 << c) for t, c in enumerate(cols)]
-        levels[len(cols)].append((mask, terms))
+    levels = _expansion_program(width)
     minors = [1] + [0] * ((1 << width) - 1)
     for i in range(n - 1, -1, -1):
         signed = rows[i] + [-v for v in rows[i]]
         for k in range(min(width, n - i), max(0, width - i - 1), -1):
             shift = bits * comb(n - i - 1, k - 1)
             for mask, terms in levels[k]:
-                expansion = sum([signed[a] * minors[b] for a, b in terms])
+                expansion = 0
+                for a, b in terms:
+                    expansion += signed[a] * minors[b]
                 minors[mask] = (minors[mask] << shift) + expansion
         for mask, _ in levels[width - i - 1] if i < width - 1 else ():
             minors[mask] = 0  # no longer read

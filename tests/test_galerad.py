@@ -921,6 +921,47 @@ def test_separating_functional_matches_reference_on_fractional_vectors(dim, coun
     _assert_same_separator(vectors, rng.randrange(count))
 
 
+def _extreme_programs(dim):
+    """Separator programs in dimension dim whose tableau entries come near
+    the packed simplex's field bound (exactlp._field_bits): coordinates up
+    to 2^60 in size, Fraction coordinates over large denominators,
+    Sylvester-Hadamard rows scaled by 2^40 and signed so that the first
+    tableau's rows (e_k v_k, 1) are orthogonal and meet Hadamard's bound,
+    and one long point against copies of a short one, where the cost row's
+    right-hand side reaches 0.7 of the bound at dim 1.  Each program is a
+    (vectors, index) pair, with counts up to 16."""
+    rng = random.Random(dim)
+    big = 1 << 60
+    denominators = [(1 << 40) - 87, (1 << 40) - 167, (1 << 39) - 7]
+    programs = []
+    for count in (1, dim + 1, 16):
+        integers = [
+            [rng.choice((-big, big, rng.randint(-big, big))) for _ in range(dim)]
+            for _ in range(count)
+        ]
+        fractions = [
+            [Fraction(rng.randint(-big, big), rng.choice(denominators)) for _ in range(dim)]
+            for _ in range(count)
+        ]
+        for vectors in (integers, fractions):
+            programs += [(vectors, index) for index in {0, rng.randrange(count)}]
+    hadamard = [[v << 40 for v in row[1 : dim + 1]] for row in _sylvester(1 << dim.bit_length())]
+    for index in {0, rng.randrange(len(hadamard))}:
+        signed = [row if k == index else [-v for v in row] for k, row in enumerate(hadamard)]
+        programs += [(hadamard, index), (signed, index)]
+    for count in range(2, 17):
+        for length in (20, big):
+            short = [1] + [0] * (dim - 1)
+            programs.append(([[length] + short[1:]] + [short] * (count - 1), 0))
+    return programs
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_separating_functional_matches_reference_at_the_field_bound(dim):
+    for vectors, index in _extreme_programs(dim):
+        _assert_same_separator(vectors, index)
+
+
 def test_separating_functional_returns_none_when_infeasible():
     # <w, v> >= 1 and <w, v> <= -1 for the same v
     assert _assert_same_separator([[Fraction(1, 2)], [Fraction(3, 2)]], 0) is None
