@@ -31,10 +31,6 @@ THEOREM_IDS = ("dim2", "dim3", "general", "t1", "even-d")
 FIXED_PARAMETERS = {"dim2": {"r": 3}, "dim3": {"r": 4}, "t1": {"t": 1}}
 
 
-class BoardFormatError(ValueError):
-    """Malformed board text."""
-
-
 @dataclass(frozen=True)
 class Chessboard:
     """An (r-1) x (n-1) black/white board, optionally carrying the sequence
@@ -101,27 +97,6 @@ class Chessboard:
         lines = [f"{self.matrix_rows} {self.matrix_cols}"]
         lines.extend("".join("#" if v else "." for v in row) for row in self.black)
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "Chessboard":
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines:
-            raise BoardFormatError("empty board text")
-        head = lines[0].split()
-        if len(head) != 2:
-            raise BoardFormatError(f"expected header 'r n', got {lines[0]!r}")
-        try:
-            r, n = int(head[0]), int(head[1])
-        except ValueError as exc:
-            raise BoardFormatError(f"non-integer header {lines[0]!r}") from exc
-        if len(lines) != r:
-            raise BoardFormatError(f"expected {r - 1} board rows, got {len(lines) - 1}")
-        rows = []
-        for line in lines[1:]:
-            if len(line) != n - 1 or set(line) - {"#", "."}:
-                raise BoardFormatError(f"bad row {line!r}, want {n - 1} chars of #/.")
-            rows.append(tuple(ch == "#" for ch in line))
-        return cls(tuple(rows))
 
 
 def board_of(matrix: SignMatrix) -> Chessboard:

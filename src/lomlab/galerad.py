@@ -327,19 +327,9 @@ class Coloring:
     def to_string(self) -> str:
         return "".join(self.labels)
 
-    def color(self, i: int) -> str:
-        return self.labels[i - 1]
-
     @property
     def red(self) -> frozenset[int]:
         return frozenset(i + 1 for i, c in enumerate(self.labels) if c == RED)
-
-    @property
-    def blue(self) -> frozenset[int]:
-        return frozenset(i + 1 for i, c in enumerate(self.labels) if c == BLUE)
-
-    def swap(self) -> "Coloring":
-        return Coloring(tuple(BLUE if c == RED else RED for c in self.labels))
 
 
 @dataclass(frozen=True)

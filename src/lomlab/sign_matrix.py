@@ -55,12 +55,6 @@ class SignMatrix:
         """Per row, bit j set when the entry in column j + 1 is -1; built on first use."""
         return tuple(sum(1 << j for j, v in enumerate(row) if v < 0) for row in self.rows)
 
-    def entry(self, i: int, j: int) -> int:
-        """Entry a[i][j], 1-indexed."""
-        if not (1 <= i <= self.r and 1 <= j <= self.n):
-            raise IndexError(f"entry ({i},{j}) outside {self.r}x{self.n} matrix")
-        return self.rows[i - 1][j - 1]
-
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "SignMatrix":
         return cls(tuple(tuple(row) for row in rows))

@@ -43,6 +43,12 @@ matrix itself whenever it is acyclic.  ``min_interior`` scans the plain
 travels plus that degenerate shape, so its minimum ranges over every acyclic
 reorientation class.
 
+A ``Travel`` is a plain value that checks nothing itself.  ``_segments``
+builds the staircase of every top and plain travel this module returns,
+and ``bottom_travel`` maps one back from the turned rows;
+``reorientation_for_pt``, the one function that takes a travel from
+outside, checks it against ``plain_travel`` of its drop columns.
+
 The class order is the lexicographic order of breakpoints (drop columns,
 then n), and the batches of ``_drop_batches`` define it: each batch holds
 the drop columns of up to CLASS_LANES consecutive classes as planes, one
@@ -110,83 +116,27 @@ class CyclicMatroidError(ValueError):
     """Operation defined only for acyclic matrices was given a cyclic one."""
 
 
-class TravelFormatError(ValueError):
-    """Malformed travel text."""
-
-
 @dataclass(frozen=True)
 class Travel:
     """A staircase walk stored as (row, col_from, col_to) segments.
 
     Consecutive segments share exactly the breakpoint column.  Top and plain
     travels move right and down (col_from <= col_to, rows increasing);
-    bottom travels move left and up.
+    bottom travels move left and up.  A travel is a plain value:
+    ``_segments`` and ``bottom_travel`` build valid staircases, and
+    ``reorientation_for_pt`` checks a travel it is given.
     """
 
     kind: str
     segments: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.kind not in (TOP, BOTTOM, PLAIN):
-            raise ValueError(f"unknown travel kind {self.kind!r}")
-        if not self.segments:
-            raise ValueError("travel needs at least one segment")
-        step = -1 if self.kind == BOTTOM else 1
-        prev = None
-        for row, a, b in self.segments:
-            if step * (b - a) < 0:
-                raise ValueError(f"segment {(row, a, b)} runs the wrong way")
-            if prev is not None:
-                prow, _, pb = prev
-                if row != prow + step or a != pb:
-                    raise ValueError("segments do not form a connected staircase")
-            prev = (row, a, b)
-
-    @property
-    def start(self) -> tuple[int, int]:
-        row, a, _ = self.segments[0]
-        return (row, a)
-
-    @property
-    def end(self) -> tuple[int, int]:
-        row, _, b = self.segments[-1]
-        return (row, b)
-
-    @property
-    def end_row(self) -> int:
-        return self.segments[-1][0]
-
-    @property
-    def end_col(self) -> int:
-        return self.segments[-1][2]
 
     @property
     def drop_columns(self) -> tuple[int, ...]:
         """Columns where the walk changes row, in path order."""
         return tuple(seg[2] for seg in self.segments[:-1])
 
-    @property
-    def breakpoints(self) -> tuple[int, ...]:
-        """Drop columns followed by the end column."""
-        return self.drop_columns + (self.end_col,)
-
     def to_text(self) -> str:
         return ";".join(f"{row}:{a}-{b}" for row, a, b in self.segments)
-
-    @classmethod
-    def from_text(cls, text: str, kind: str = PLAIN) -> "Travel":
-        segments = []
-        for part in text.strip().split(";"):
-            try:
-                row_s, cols = part.split(":")
-                a_s, b_s = cols.split("-")
-                segments.append((int(row_s), int(a_s), int(b_s)))
-            except ValueError as exc:
-                raise TravelFormatError(f"bad segment {part!r}") from exc
-        try:
-            return cls(kind, tuple(segments))
-        except ValueError as exc:
-            raise TravelFormatError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -766,10 +716,11 @@ def count_plain_travels(r: int, n: int) -> int:
 
 
 def _travel_drops(matrix: SignMatrix, travel: Travel) -> tuple[int, ...]:
-    """The drop columns of `travel`, which must be a plain travel (or the
-    one-segment shape) of the matrix's shape."""
-    if travel.kind == BOTTOM:
-        raise ValueError("expected a top or plain travel")
+    """The drop columns of `travel`, which must be a top or plain travel
+    with the staircase of a plain travel (or the one-segment shape) of the
+    matrix's shape: the one check of a travel from outside."""
+    if travel.kind not in (TOP, PLAIN):
+        raise ValueError(f"expected a top or plain travel, got kind {travel.kind!r}")
     drops = travel.drop_columns
     if plain_travel(matrix.r, matrix.n, drops).segments != travel.segments:
         raise ValueError(f"{travel.to_text()} is not a plain travel for r={matrix.r} n={matrix.n}")
@@ -807,7 +758,7 @@ def min_interior(matrix: SignMatrix) -> tuple[int, Travel]:
             best, witness = value, _decode_lane(drops, (lanes & -lanes).bit_length() - 1)
             if not best:
                 break
-    return best, plain_travel(matrix.r, matrix.n, witness)
+    return best, Travel(PLAIN, _segments(witness, matrix.n))
 
 
 def find_interior_set(matrix: SignMatrix, target: Iterable[int]) -> tuple[int, Travel | None]:
@@ -832,4 +783,4 @@ def find_interior_set(matrix: SignMatrix, target: Iterable[int]) -> tuple[int, T
                 match &= lanes if target_mask >> c & 1 else full ^ lanes
             if match:
                 found = _decode_lane(drops, (match & -match).bit_length() - 1)
-    return best, None if found is None else plain_travel(matrix.r, n, found)
+    return best, None if found is None else Travel(PLAIN, _segments(found, n))

@@ -229,7 +229,7 @@ def test_criterion_13_unbalanced_lifting():
         except LiftSeparationError:
             continue
         applicable += 1
-        sizes = sorted((len(lifted_coloring.red), len(lifted_coloring.blue)))
+        sizes = sorted(map(lifted_coloring.labels.count, "RB"))
         if sizes != [1, config.n - 1] or count_induced(lifted, lifted_coloring) != value:
             bad.append((config.n, config.dim, sizes))
     ok = not bad and applicable >= 3

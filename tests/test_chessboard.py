@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lomlab.chessboard import (
-    BoardFormatError,
     Chessboard,
     board_from_sequence,
     board_of,
@@ -272,13 +271,10 @@ def test_sequence_domination_spot_check():
                     assert large >= small
 
 
-def test_board_text_round_trip():
+def test_board_to_text():
+    # boards are written (--emit board, scan reports) and never read back
     board = board_from_sequence(4, 9, (2, 4, 2))
-    assert Chessboard.from_text(board.to_text()) == board
-    with pytest.raises(BoardFormatError):
-        Chessboard.from_text("3 6\n##x..\n..###\n")
-    with pytest.raises(BoardFormatError):
-        Chessboard.from_text("")
+    assert board.to_text() == "4 9\n##......\n..####..\n......##\n"
 
 
 def test_board_flips():

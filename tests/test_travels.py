@@ -10,7 +10,6 @@ from lomlab.travels import (
     PLAIN,
     CyclicMatroidError,
     Travel,
-    TravelFormatError,
     bottom_travel,
     count_plain_travels,
     enumerate_plain_travels,
@@ -37,6 +36,11 @@ from oracles import (
 )
 
 
+def _breakpoints(travel):
+    """Drop columns followed by the end column: the class-order key."""
+    return travel.drop_columns + (travel.segments[-1][2],)
+
+
 def random_acyclic(rng, r, n):
     """Random matrix pushed into a random acyclic reorientation class."""
     a = random_sign_matrix(rng, r, n)
@@ -52,14 +56,14 @@ def random_acyclic(rng, r, n):
 def test_top_travel_all_plus_is_one_segment():
     t = top_travel(SignMatrix.constant(3, 5))
     assert t.segments == ((1, 1, 5),)
-    assert t.end == (1, 5)
+    assert t.segments[-1][::2] == (1, 5)  # ends at row 1, column 5
 
 
 def test_top_travel_hand_simulated_drop():
     a = SignMatrix.from_rows([(1, -1, 1), (1, 1, 1)])
     t = top_travel(a)
     assert t.segments == ((1, 1, 2), (2, 2, 3))
-    assert t.end == (2, 3)
+    assert t.segments[-1][::2] == (2, 3)  # ends at row 2, column 3
 
 
 def test_travels_are_deterministic():
@@ -117,9 +121,10 @@ def test_acyclicity_criteria_agree_exhaustively():
     for r, n in ((2, 3), (2, 4), (3, 3), (3, 4)):
         for a in all_sign_matrices(r, n):
             tt = top_travel(a)
-            tt_acyclic = not (tt.end_row == r and tt.end_col < n)
-            bt = bottom_travel(a)
-            bt_acyclic = not (bt.end_row == 1 and bt.end_col > 1)
+            end_row, _, end_col = tt.segments[-1]
+            tt_acyclic = not (end_row == r and end_col < n)
+            end_row, _, end_col = bottom_travel(a).segments[-1]
+            bt_acyclic = not (end_row == 1 and end_col > 1)
             assert is_acyclic(a) == tt_acyclic == bt_acyclic
 
 
@@ -216,7 +221,7 @@ def test_plain_travel_count_formula():
 
 
 def test_enumeration_is_lexicographic_and_duplicate_free():
-    keys = [t.breakpoints for t in enumerate_plain_travels(4, 6, include_trivial=True)]
+    keys = [_breakpoints(t) for t in enumerate_plain_travels(4, 6, include_trivial=True)]
     assert keys == sorted(keys)
     assert len(keys) == len(set(keys))
     # the kernel's walk on the all-plus matrix defines the class order; the
@@ -262,7 +267,7 @@ def test_plain_travel_validation():
 def test_sweep_fixed_point():
     a = SignMatrix.from_rows([(1, -1, 1), (1, 1, 1)])
     tt = top_travel(a)
-    assert tt.end_col == a.n
+    assert tt.segments[-1][2] == a.n
     assert reorientation_for_pt(a, tt) == frozenset()
 
 
@@ -310,7 +315,7 @@ def test_sweep_rejects_foreign_shapes():
     with pytest.raises(ValueError):
         reorientation_for_pt(a, bottom_travel(a))
     cyclic = SignMatrix.from_rows([(1, -1, 1, -1, 1, -1)] * 3)
-    assert top_travel(cyclic).end_col < cyclic.n
+    assert top_travel(cyclic).segments[-1][2] < cyclic.n
     with pytest.raises(ValueError):
         reorientation_for_pt(cyclic, top_travel(cyclic))  # ends before n
     with pytest.raises(ValueError):
@@ -344,11 +349,11 @@ def test_min_interior_is_order_independent():
     count, witness = min_interior(a)
     shapes = [plain_travel(4, 9, ())] + list(enumerate_plain_travels(4, 9))
     best = min(
-        (len(interior_elements(reorient(a, reorientation_for_pt(a, pt)))), pt.breakpoints)
+        (len(interior_elements(reorient(a, reorientation_for_pt(a, pt)))), _breakpoints(pt))
         for pt in reversed(shapes)
     )
     assert best[0] == count
-    assert best[1] == witness.breakpoints
+    assert best[1] == _breakpoints(witness)
 
 
 def test_min_interior_rank1_is_the_one_segment_class():
@@ -450,20 +455,86 @@ def test_min_interior_witness_revalidates():
 # Travel value type.
 
 
-def test_travel_text_round_trip():
-    t = plain_travel(3, 6, (2, 4))
-    assert Travel.from_text(t.to_text()).segments == t.segments
-    with pytest.raises(TravelFormatError):
-        Travel.from_text("1:1")
-    with pytest.raises(TravelFormatError):
-        Travel.from_text("1:1-3;3:3-6")  # skips a row
+def test_travel_to_text():
+    # travels are written (witness lines, reports) and never read back
+    assert plain_travel(3, 6, (2, 4)).to_text() == "1:1-2;2:2-4;3:4-6"
+    assert plain_travel(3, 6, ()).to_text() == "1:1-6"
+    assert bottom_travel(SignMatrix.constant(3, 5)).to_text() == "3:5-1"
 
 
 def test_travel_validation():
-    with pytest.raises(ValueError):
-        Travel("top", ((1, 1, 3), (2, 4, 6)))  # breakpoint mismatch
-    with pytest.raises(ValueError):
-        Travel("sideways", ((1, 1, 3),))
+    # a Travel checks nothing itself; reorientation_for_pt, the one entry
+    # that takes a travel from outside, rejects every malformed one
+    a = SignMatrix.constant(3, 6)
+    good = plain_travel(3, 6, (2, 4))
+    assert reorientation_for_pt(a, Travel("top", good.segments)) == reorientation_for_pt(a, good)
+    malformed = [
+        Travel("bottom", good.segments),
+        Travel("sideways", good.segments),
+        Travel(PLAIN, ((1, 1, 2), (3, 2, 6))),  # skips a row
+        Travel(PLAIN, ((1, 1, 3), (2, 2, 6))),  # does not start where the last ended
+        Travel(PLAIN, ((1, 3, 1), (2, 1, 6))),  # runs the wrong way
+        Travel(PLAIN, ((1, 1, 4), (2, 4, 2), (3, 2, 6))),  # second segment runs left
+        Travel("top", ((1, 1, 3), (2, 4, 6))),  # breakpoint mismatch
+        Travel(PLAIN, ()),  # no segment
+        Travel(PLAIN, ((1, 1, 1), (2, 1, 6))),  # drops at column 1
+        Travel(PLAIN, ((1, 1, 7), (2, 7, 7))),  # drops past column n
+        Travel(PLAIN, ((1, 1, 2), (2, 2, 3), (3, 3, 4), (4, 4, 6))),  # r drops
+        Travel(PLAIN, ((1, 1, 3), (2, 3, 3), (3, 3, 6))),  # drops twice at column 3
+        Travel(PLAIN, ((1, 1, 3), (2, 3, 5))),  # ends before column n
+        Travel(PLAIN, ((1, 1, 3), (2, 3, 7))),  # ends past column n
+    ]
+    for travel in malformed:
+        with pytest.raises(ValueError):
+            reorientation_for_pt(a, travel)
+
+
+def _family_and_counterexample_matrices():
+    """(matrix, target) for every board of the families benchmark jobs,
+    target None, and every counterexample board with its target set."""
+    from lomlab.chessboard import canonical_matrix, corners_for, realize_sequence
+    from lomlab.verifier import COUNTEREXAMPLES
+
+    boxes = (
+        [("dim2", 3, t) for t in range(7)]
+        + [("dim3", 4, t) for t in range(5)]
+        + [("t1", r, 1) for r in (5, 6, 7)]
+        + [("general", r, t) for r in (5, 6) for t in (2, 3)]
+        + [("even-d", r, 2) for r in (5, 7)]
+    )
+    for theorem_id, r, t in boxes:
+        yield canonical_matrix(corners_for(theorem_id, r, t)), None
+    for r, n, sequence, target in COUNTEREXAMPLES.values():
+        yield realize_sequence(r, n, sequence), target
+
+
+def test_built_travels_are_plain_travels():
+    # the witness builders skip plain_travel's argument checks, as their
+    # drops come from the kernel: every travel they build is the one
+    # plain_travel builds from its drop columns
+    def check(matrix, travel):
+        assert travel.kind == PLAIN
+        assert travel == plain_travel(matrix.r, matrix.n, travel.drop_columns), matrix.rows
+
+    rng = random.Random(3101)
+    matrices = [
+        (random_sign_matrix(rng, r, n), None)
+        for r in range(1, 8)
+        for n in range(r, 13)
+        for _ in range(3)
+    ]
+    for matrix, target in matrices + list(_family_and_counterexample_matrices()):
+        count, witness = min_interior(matrix)
+        check(matrix, witness)
+        if target is None:
+            target = interior_elements(reorient(matrix, reorientation_for_pt(matrix, witness)))
+        least, found = find_interior_set(matrix, target)
+        assert least == count
+        check(matrix, found)
+    for r in range(1, 6):
+        for n in range(1, 10):
+            for t in enumerate_plain_travels(r, n, include_trivial=True):
+                assert t == plain_travel(r, n, t.drop_columns), (r, n)
 
 
 @given(st.integers(2, 5), st.integers(0, 200))
@@ -472,8 +543,8 @@ def test_breakpoints_end_at_n(r, pick):
     n = r + pick % 4
     shapes = list(enumerate_plain_travels(r, n))
     t = shapes[pick % len(shapes)]
-    assert t.breakpoints[-1] == n
-    assert 2 <= t.breakpoints[0] <= n
+    assert _breakpoints(t)[-1] == n
+    assert 2 <= _breakpoints(t)[0] <= n
     assert 1 < len(t.segments) <= r
 
 
