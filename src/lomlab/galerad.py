@@ -334,10 +334,9 @@ class Coloring:
 
 @dataclass(frozen=True)
 class GaleTransform:
-    """n dual vectors in dimension n - d - 1, plus the dependence basis used."""
+    """n dual vectors in dimension n - d - 1; coordinate k is dependence k."""
 
     vectors: tuple[Vector, ...]
-    dependences: tuple[Vector, ...] = field(compare=False)
 
 
 def _require_dependences(config: PointConfig, purpose: str) -> None:
@@ -375,7 +374,7 @@ def gale_transform(config: PointConfig) -> GaleTransform:
             if sum(a * p for a, p in zip(alpha, (pt[i] for pt in config.points))) != 0:
                 raise AssertionError("dependence basis violates sum(alpha x) = 0")
     vectors = tuple(tuple(alpha[j] for alpha in basis) for j in range(n))
-    return GaleTransform(vectors, tuple(tuple(a) for a in basis))
+    return GaleTransform(vectors)
 
 
 def affine_projection(config: PointConfig, coloring: Coloring) -> tuple[Vector, ...]:
@@ -439,8 +438,8 @@ def is_radon_pair(config: PointConfig, subset: Iterable[int], coloring: Coloring
     return bool(_induced(config, _red_bits(coloring)) >> rank & 1)
 
 
-def _checked_red(config: PointConfig, coloring: Coloring) -> int:
-    _require_dependences(config, "to count induced partitions")
+def _checked_red(config: PointConfig, coloring: Coloring, purpose: str) -> int:
+    _require_dependences(config, purpose)
     if coloring.n != config.n:
         raise ValueError("coloring length must match the configuration")
     return _red_bits(coloring)
@@ -448,13 +447,14 @@ def _checked_red(config: PointConfig, coloring: Coloring) -> int:
 
 def count_induced(config: PointConfig, coloring: Coloring) -> int:
     """Number of (d+2)-subsets whose minimal Radon partition the coloring induces."""
-    return _induced(config, _checked_red(config, coloring)).bit_count()
+    red = _checked_red(config, coloring, "to count induced partitions")
+    return _induced(config, red).bit_count()
 
 
 def induced_flags(config: PointConfig, coloring: Coloring) -> list[bool]:
     """is_radon_pair for every (d+2)-subset, in combinations order, from one
     induced mask."""
-    mask = _induced(config, _checked_red(config, coloring))
+    mask = _induced(config, _checked_red(config, coloring, "to count induced partitions"))
     return list(map("1".__eq__, reversed(format(mask, f"0{comb(config.n, config.dim + 2)}b"))))
 
 
@@ -597,9 +597,7 @@ def lift_unbalanced(config: PointConfig, coloring: Coloring) -> tuple[PointConfi
     exactly when the dual configuration of the best representative stays
     convex.
     """
-    _require_dependences(config, "to lift a coloring")
-    rays = affine_projection(config, coloring)
-    red = _red_bits(coloring)
+    red = _checked_red(config, coloring, "to lift a coloring")
     induced, points = _induced(config, red), range(config.n)
     if induced:
         # members[k][-1 - j] is 1 + the k-th member of subset j
@@ -611,6 +609,7 @@ def lift_unbalanced(config: PointConfig, coloring: Coloring) -> tuple[PointConfi
         raise LiftSeparationError(
             "no point of the signed projection is strictly separable from the rest"
         )
+    rays = affine_projection(config, coloring)
     functional = separating_functional(rays, chosen)
     if functional is None:
         raise ArithmeticError(

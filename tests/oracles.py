@@ -442,6 +442,25 @@ def reference_theorem_board_for(r: int, n: int) -> Chessboard | None:
     return None
 
 
+def reference_corners(theorem_id: str, r: int, t: int) -> tuple[int, ...]:
+    """The paper's corner map h(1..r) of a named construction: its m-th
+    corner is matrix position (m, h(m)), and h(r) is the n formula.  The
+    scans never read h; tests check it against the boards of corners_for."""
+    if theorem_id == "dim2":
+        return (1, t + 3, t + 6)
+    if theorem_id == "dim3":
+        return (1, t + 3, t + 6, t + 8)
+    if theorem_id == "general":
+        return (1, t + 3, t + 6) + tuple((t + 1) * (m - 3) + 7 for m in range(4, r + 1))
+    if theorem_id == "t1":
+        return (1,) + tuple(2 * (m - 1) + -(-m // 2) + 1 for m in range(2, r + 1))
+    if theorem_id == "even-d":
+        return (1, t + 3) + tuple(
+            2 * -(-(m - 1) // 2) + (t + 1) * ((m - 1) // 2) + 3 for m in range(3, r + 1)
+        )
+    raise ValueError(f"unknown construction {theorem_id!r}")
+
+
 # ---------------------------------------------------------------------------
 # Reference Radon partitions: Fraction determinants, one cofactor expansion
 # per subset and a full recount per coloring in mask order.  These are the
@@ -504,13 +523,13 @@ def reference_null_space(rows: list[list[Fraction]]) -> list[list[Fraction]]:
 
 
 def reference_gale_transform(config: PointConfig):
-    """(vectors, dependences) from the RREF null space of the coordinate
-    rows plus a row of ones: one dependence per free column."""
+    """Dual vectors from the RREF null space of the coordinate rows plus a
+    row of ones: coordinate k of vector j is entry j of the dependence of
+    the k-th free column."""
     n = config.n
     rows = [[p[i] for p in config.points] for i in range(config.dim)] + [[Fraction(1)] * n]
     basis = reference_null_space(rows)
-    vectors = tuple(tuple(alpha[j] for alpha in basis) for j in range(n))
-    return vectors, tuple(tuple(alpha) for alpha in basis)
+    return tuple(tuple(alpha[j] for alpha in basis) for j in range(n))
 
 
 def _lifted(points, labels):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lomlab.chessboard import (
+    THEOREM_IDS,
     Chessboard,
     board_from_sequence,
     board_of,
@@ -22,6 +23,7 @@ from oracles import (
     reference_board_from_code,
     reference_canonical_matrix,
     reference_code_transforms,
+    reference_corners,
 )
 
 
@@ -82,13 +84,6 @@ def test_realize_sequence_contract():
         realize_sequence(4, 8, (2, 3, 4))  # does not fit in 7 columns
     with pytest.raises(ValueError):
         realize_sequence(3, 8, (0, 3))
-
-
-def test_sequence_annotation_must_draw_the_board():
-    board = board_from_sequence(4, 8, (2, 3, 2))
-    assert Chessboard(board.black, sequence=(2, 3, 2)) == board
-    with pytest.raises(ValueError, match="does not match"):
-        Chessboard(board.black, sequence=(3, 2, 2))  # fits, draws other squares
 
 
 def test_realize_sequence_unrolled_example():
@@ -155,21 +150,21 @@ def test_canonical_planes_match_reference_on_every_lane(max_lanes):
 def test_corners_general_r6_t3():
     board = corners_for("general", 6, 3)
     assert board.matrix_cols == 19
-    assert board.sequence == (2, 6, 2, 4, 4)
-    assert board.corners == (1, 6, 9, 11, 15, 19)
+    assert board == board_from_sequence(6, 19, (2, 6, 2, 4, 4))
+    assert reference_corners("general", 6, 3) == (1, 6, 9, 11, 15, 19)
 
 
 def test_corners_t1_r5():
     board = corners_for("t1", 5, 1)
     assert board.matrix_cols == 12
-    assert board.sequence == (2, 4, 2, 3)
-    assert board.corners[4] == 12  # h(5)
+    assert board == board_from_sequence(5, 12, (2, 4, 2, 3))
+    assert reference_corners("t1", 5, 1)[4] == 12  # h(5)
 
 
 def test_corners_dim2_t0():
     board = corners_for("dim2", 3, 0)
     assert board.matrix_cols == 6
-    assert board.sequence == (2, 3)
+    assert board == board_from_sequence(3, 6, (2, 3))
     # one black square in every column
     assert all(sum(column) == 1 for column in zip(*board.black))
 
@@ -188,14 +183,29 @@ def test_every_construction_is_one_black_per_column():
 
 
 def test_corner_windows_validated():
-    board = corners_for("even-d", 5, 2)
-    seq = board.sequence
-    h = board.corners
-    assert h[0] == 1 and h[-1] == board.matrix_cols
-    acc = 0
-    for m in range(2, board.matrix_rows):
-        acc += seq[m - 2]
-        assert acc + 1 <= h[m - 1] <= acc + seq[m - 1] + 1
+    # the paper's corner map of every construction in the box starts at 1,
+    # increases, ends at n, and keeps each h(m) in the window its board's
+    # black runs leave: h(m) - 1 is at least the runs of rows 1..m-1 and at
+    # most those plus the run of row m
+    checked = 0
+    for theorem in THEOREM_IDS:
+        for r in range(3, 13):
+            for t in range(11):
+                try:
+                    board = corners_for(theorem, r, t)
+                except ValueError:
+                    continue
+                seq = tuple(sum(row) for row in board.black)
+                assert board == board_from_sequence(r, board.matrix_cols, seq)
+                h = reference_corners(theorem, r, t)
+                assert len(h) == r and h[0] == 1 and h[-1] == board.matrix_cols
+                assert all(a < b for a, b in zip(h, h[1:])), (theorem, r, t)
+                acc = 0
+                for m in range(2, r):
+                    acc += seq[m - 2]
+                    assert acc + 1 <= h[m - 1] <= acc + seq[m - 1] + 1, (theorem, r, t, m)
+                checked += 1
+    assert checked == 138
 
 
 def test_corners_for_rejects_bad_parameters():

@@ -140,8 +140,11 @@ def test_d_plus_2_transform_has_no_zero_entries():
 
 def test_transform_defining_relations_hold():
     config = random_point_config(8, 3, seed=77)
-    transform = gale_transform(config)
-    for alpha in transform.dependences:
+    vectors = gale_transform(config).vectors
+    assert len(vectors) == config.n
+    assert {len(v) for v in vectors} == {config.n - config.dim - 1}
+    # coordinate column k of the vectors is the k-th affine dependence
+    for alpha in zip(*vectors):
         assert sum(alpha) == 0
         for i in range(config.dim):
             assert sum(a * p[i] for a, p in zip(alpha, config.points)) == 0
@@ -394,6 +397,13 @@ def test_lift_preserves_count_for_any_separable_coloring():
     assert sorted(map(lifted_coloring.labels.count, "RB")) == [1, 3]
 
 
+def test_lift_rejects_a_coloring_of_the_wrong_length():
+    line4 = PointConfig.from_rows(1, [(0,), (1,), (2,), (5,)])
+    for labels in ("RRB", "RRRBB"):
+        with pytest.raises(ValueError, match="^coloring length must match the configuration$"):
+            lift_unbalanced(line4, Coloring.from_string(labels))
+
+
 # ---------------------------------------------------------------------------
 # Internal exact linear algebra.
 
@@ -575,7 +585,7 @@ def test_general_position_error_names_first_dependent_subset(d, extra, fractiona
 def test_gale_transform_matches_rref_reference(config):
     # Fraction is canonical, so equal values print equal text
     transform = gale_transform(config)
-    assert (transform.vectors, transform.dependences) == reference_gale_transform(config)
+    assert transform.vectors == reference_gale_transform(config)
 
 
 @given(configs(), st.integers(0, 2**32 - 1))

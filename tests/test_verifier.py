@@ -2,7 +2,7 @@ from itertools import islice
 
 import pytest
 
-from lomlab.chessboard import canonical_matrix, corners_for
+from lomlab.chessboard import board_from_sequence, canonical_matrix, corners_for
 from lomlab.sign_matrix import reorient
 from lomlab.travels import interior_elements, min_interior, reorientation_for_pt
 from lomlab.verifier import (
@@ -156,8 +156,6 @@ def test_counterexamples_reproduce_exact_interior_sets():
 def test_counterexample_reports_match_the_reference_scan():
     # every class is checked, the least count is over every class, and the
     # witness is the first class, in lexicographic order, with the target set
-    from lomlab.chessboard import board_from_sequence
-
     from oracles import reference_scan
 
     for which, (r, n, sequence, target) in COUNTEREXAMPLES.items():
@@ -259,7 +257,7 @@ def test_search_budget_zero_returns_theorem_board():
     result = search_small_topes(3, 8, budget=0)
     assert result.label == "exploration"
     assert result.best_value == 3  # the t = 2 construction is tight at t + 1
-    assert result.best_board.sequence == (2, 5)
+    assert result.best_board == board_from_sequence(3, 8, (2, 5))
 
 
 def test_search_budget_zero_without_theorem_board():
@@ -394,11 +392,7 @@ def test_theorem_board_table_matches_hand_inversion():
                 assert board is None, (r, n)
             else:
                 assert board is not None, (r, n)
-                assert (board.black, board.sequence, board.corners) == (
-                    reference.black,
-                    reference.sequence,
-                    reference.corners,
-                ), (r, n)
+                assert board == reference, (r, n)
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
